@@ -128,6 +128,8 @@ class Router:
                 scheduler=self.scheduler,
             )
             self.sim.spawn(self._pentium_return_loop(), name="pentium-return")
+        self._returning = False
+        self.chip.host_idle = self._hosts_idle
 
         # Fault-injection / runtime-enforcement attach points (None until
         # enable_faults / enable_vrp_watchdog; the hot path only pays an
@@ -341,17 +343,30 @@ class Router:
     def _pentium_return_loop(self):
         """Drain packets the Pentium handed back and requeue them on the
         normal output path (the StrongARM's obligation)."""
-        from repro.engine import Delay
+        from repro.engine import delay
 
+        idle_poll = delay(120)
         while True:
             message = self.from_pentium.try_receive()
             if message is None:
-                yield Delay(120)
+                yield idle_poll
                 continue
             descriptor = message.flow_metadata.get("_descriptor")
             if descriptor is not None:
+                self._returning = True
                 yield from self.chip.sram.write(tag="sa.return")
                 self.chip.requeue_from_sa(descriptor)
+                self._returning = False
+
+    def _hosts_idle(self) -> bool:
+        """No packet held above the chip: the StrongARM, the I2O pairs,
+        the Pentium and the return path are all empty (the chip parks
+        its output stage only then)."""
+        if not self.strongarm.idle() or self._returning:
+            return False
+        if self.to_pentium.occupancy or self.from_pentium.occupancy:
+            return False
+        return self.pentium is None or self.pentium.idle()
 
     # -- control-plane API ----------------------------------------------------------
 

@@ -384,6 +384,8 @@ class FaultInjector:
         contexts stop issuing for ``hold_cycles``.  A crashed *context*
         stalls its token-ring neighbours anyway, so engine granularity is
         the honest model for both stalls and context crashes."""
+        if engine.wake_listener is not None:
+            engine.wake_listener.announce(max(at, self.sim.now + 1))
 
         def stall():
             yield Delay(max(1, at - self.sim.now))

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Generator, Optional
 
-from repro.engine import Delay, Simulator
+from repro.engine import Delay, Simulator, delay
 from repro.hosts.pci import I2OMessage, I2OQueuePair, PCIBus
 from repro.hosts.scheduling import StrideScheduler
 from repro.obs.recorder import NULL_RECORDER
@@ -72,6 +72,8 @@ class PentiumHost:
         self.crashed = False
         self.crashes = 0
         self.restarts = 0
+        #: True while a received message is being handled.
+        self.holding = False
         self._window_start_busy = 0.0
         self._window_start_processed = 0
         self._proc = sim.spawn(self._run(), name="pentium")
@@ -133,15 +135,22 @@ class PentiumHost:
         self.busy_pentium_cycles += (self.bus.busy_cycles - before) * self.params.ratio
 
     def _run(self) -> Generator:
+        idle_poll = delay(self.params.idle_poll_sim_cycles)
         while True:
             if self.crashed:
-                yield Delay(self.params.idle_poll_sim_cycles)
+                yield idle_poll
                 continue
             message = self.rx_pair.try_receive()
             if message is None:
-                yield Delay(self.params.idle_poll_sim_cycles)
+                yield idle_poll
                 continue
+            self.holding = True
             yield from self._handle(message)
+            self.holding = False
+
+    def idle(self) -> bool:
+        """No message held or queued for the forwarders."""
+        return not self.holding and not (self.scheduler is not None and self.scheduler.backlog)
 
     def _handle(self, message: I2OMessage) -> Generator:
         # Pull the eager bytes (64B + 8B header) across the bus.

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Generator, NamedTuple, Optional
 
-from repro.engine import Delay, Simulator
+from repro.engine import Delay, Simulator, delay
 from repro.hosts.pci import EAGER_BYTES, I2OMessage, I2OQueuePair
 from repro.ixp.queues import PacketDescriptor
 
@@ -96,6 +96,8 @@ class StrongARM:
         self.crashed = False
         self.crashes = 0
         self.restarts = 0
+        #: True while a dequeued packet is being handled.
+        self.holding = False
         self._proc = self.sim.spawn(self._run(), name="strongarm")
 
     # -- crash / restart ---------------------------------------------------------
@@ -114,6 +116,10 @@ class StrongARM:
         self.restarts += 1
 
     # -- configuration -----------------------------------------------------------
+
+    def idle(self) -> bool:
+        """No exceptional packet held or queued here."""
+        return not self.holding and not (self.scheduler is not None and self.scheduler.backlog)
 
     def register_local(self, forwarder: LocalForwarder) -> None:
         """Add a forwarder to the boot-time jump table."""
@@ -139,9 +145,10 @@ class StrongARM:
 
     def _run(self) -> Generator:
         chip = self.chip
+        idle_poll = delay(self.params.idle_poll_cycles)
         while True:
             if self.crashed:
-                yield Delay(self.params.idle_poll_cycles)
+                yield idle_poll
                 continue
             # Pentium-bound packets take precedence over local ones
             # (section 4.1's priority scheme).
@@ -151,19 +158,23 @@ class StrongARM:
                 descriptor = chip.sa_dequeue(chip.sa_local_queue)
             if descriptor is None:
                 if self.scheduler is not None and self.scheduler.backlog:
+                    self.holding = True
                     yield from self._local(None)  # drain the scheduler
+                    self.holding = False
                     continue
                 if self.mode == "polling":
-                    yield Delay(self.params.idle_poll_cycles)
+                    yield idle_poll
                 else:
                     yield chip.sa_signal  # sleep until an MP arrives
                 continue
+            self.holding = True
             if self.mode == "interrupt":
                 yield from self._busy(self.params.interrupt_overhead_cycles)
             if to_pentium and self.pentium_pair is not None:
                 yield from self._bridge(descriptor)
             else:
                 yield from self._local(descriptor)
+            self.holding = False
 
     def _dequeue_ops(self) -> Generator:
         """Queue bookkeeping hits the shared SRAM/Scratch channels."""

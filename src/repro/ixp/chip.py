@@ -20,12 +20,14 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from repro.engine import Resource, Simulator
+from repro.ixp import parking
 from repro.ixp.buffers import BufferHandle, BufferPool
 from repro.ixp.hash_unit import HashUnit
 from repro.ixp.istore import InstructionStore
 from repro.ixp.memory import Memory, MemoryKind
 from repro.ixp.microengine import MicroContext, MicroEngine
 from repro.ixp.params import DEFAULT_PARAMS, IXPParams
+from repro.ixp.parking import InputParking, OutputParking
 from repro.ixp.programs import (
     TimedVRP,
     WorkItem,
@@ -153,7 +155,9 @@ class _SyntheticSource:
         )
 
     def idle_wait(self, ctx: MicroContext):
-        # Never idle; present for interface parity.
+        # Infinitely fast ports never idle; a paced source (with
+        # ``synthetic_rate_pps``) idles between emissions in 1-cycle
+        # blocked spins, which stay event by event.
         yield from ctx.blocked(1)
 
 
@@ -188,12 +192,6 @@ class _PortSource:
             mp=mp,
             exceptional=False,
         )
-
-    def idle_wait(self, ctx: MicroContext):
-        # Input contexts must keep spinning: the token rotation is fixed,
-        # so a sleeping member would stall the whole ring.
-        return
-        yield  # pragma: no cover - makes this a generator
 
 
 class _InfiniteQueue(PacketQueue):
@@ -301,6 +299,13 @@ class IXP1200:
 
         self.recorder = NULL_RECORDER
 
+        # Idle parking (repro.ixp.parking); ``host_idle`` is installed by
+        # the owning Router so the output stage only parks when no packet
+        # is held above the chip.
+        self.input_parking: Optional[InputParking] = None
+        self.output_parking: Optional[OutputParking] = None
+        self.host_idle: Optional[Callable[[], bool]] = None
+
         self._build_pipeline()
 
     def enable_observability(
@@ -400,15 +405,70 @@ class IXP1200:
         else:
             raise ValueError(f"unknown traffic mode {config.traffic!r}")
 
+        # Idle parking needs real ports and the inlined input loop.
+        park = parking._PARKING and config.traffic == "ports" and not config.dram_direct
+        if park and input_ctx:
+            self.input_parking = InputParking(self)
+            for port in self.ports:
+                port.wake_listener = self
+            for ctx in input_ctx + output_ctx:
+                ctx.me.wake_listener = self
+
         # Spawn the loops.
         loop = dram_direct_input_loop if config.dram_direct else input_loop
         for ctx in input_ctx:
             self.sim.spawn(loop(ctx, self, self.source), name=f"in-ctx{ctx.ctx_id}")
 
         # Static port -> output-context assignment.
+        procs = []
         for i, ctx in enumerate(output_ctx):
             ports = [p for p in range(config.num_ports) if p % len(output_ctx) == i]
-            self.sim.spawn(output_loop(ctx, self, ports), name=f"out-ctx{ctx.ctx_id}")
+            procs.append(self.sim.spawn(output_loop(ctx, self, ports), name=f"out-ctx{ctx.ctx_id}"))
+        if (self.input_parking is not None and output_ctx
+                and config.output_discipline is OutputDiscipline.SINGLE_BATCHED):
+            self.output_parking = OutputParking(self, procs)
+            self.output_parking.router_idle = self._router_idle
+
+    # -- idle parking (see repro.ixp.parking) ----------------------------------
+
+    def announce(self, at: int) -> None:
+        """A frame reaches one of this chip's ports, or one of its
+        engines is seized, at cycle ``at``: a parked stage resumes in
+        time.  Spurious announcements are harmless."""
+        if self.input_parking is not None:
+            self.input_parking.request(at)
+        if self.output_parking is not None:
+            self.output_parking.request(at)
+
+    def rx_delivered(self) -> None:
+        """A frame entered a port's device buffer.  Announced frames find
+        the input stage awake; an unannounced one wakes it now."""
+        inp = self.input_parking
+        if inp.parked:
+            inp.wake_now()
+            if self.output_parking is not None:
+                self.output_parking.request(self.sim.now)
+
+    def settle(self, through: int) -> None:
+        """Charge parked stages' busy cycles and token rotations up to
+        (excluding) cycle ``through``; readers call this before reading
+        ``MicroEngine.busy_cycles`` or ``TokenRing.rotations``."""
+        if self.input_parking is not None:
+            self.input_parking.settle(through)
+        if self.output_parking is not None:
+            self.output_parking.settle(through)
+
+    def _router_idle(self) -> bool:
+        """No packet anywhere: input stage parked, queue bank and
+        StrongARM queues empty, nothing held by the hosts."""
+        if not self.input_parking.parked:
+            return False
+        if self.sa_local_queue or self.sa_pentium_queue:
+            return False
+        for queue in self.bank.queues:
+            if queue:
+                return False
+        return self.host_idle is None or self.host_idle()
 
     # -- hooks used by the programs ----------------------------------------------
 

@@ -42,6 +42,9 @@ class MicroEngine:
         self.busy_cycles = 0
         self.enabled = True
         self.recorder = NULL_RECORDER
+        #: The chip, when it may park this engine's idle loop: charges
+        #: skipped periods (``settle``) and hears of core seizures.
+        self.wake_listener = None
 
     def new_context(self) -> "MicroContext":
         if len(self.contexts) >= self.params.contexts_per_me:
@@ -53,6 +56,8 @@ class MicroEngine:
     def utilization(self, window_cycles: int) -> float:
         if window_cycles <= 0:
             return 0.0
+        if self.wake_listener is not None:
+            self.wake_listener.settle(self.sim.now + 1)
         return min(1.0, self.busy_cycles / window_cycles)
 
 

@@ -20,6 +20,12 @@ from repro.ixp.memory import AccessJitter
 from repro.ixp.microengine import MicroContext
 from repro.ixp.queues import InputDiscipline, OutputDiscipline, PacketDescriptor
 
+#: An output context that finds nothing to send backs off
+#: ``min(OUTPUT_BACKOFF, OUTPUT_BACKOFF_STEP * idle_streak)`` cycles
+#: (repro.ixp.parking models the saturated loop from these).
+OUTPUT_BACKOFF_STEP = 20
+OUTPUT_BACKOFF = 200
+
 
 class WorkItem(NamedTuple):
     """One MP's worth of input work, as produced by an MP source."""
@@ -199,29 +205,42 @@ def input_loop(ctx: MicroContext, chip, source) -> Generator:
     ix_mask = ixj.mask
     ix_delays = tuple(delay(me.params.ix_bus_mp_cycles + j) for j in range(ix_mask + 1))
     ix_acquire = ix_bus.acquire()
+    parking = chip.input_parking
+    idle_wait = getattr(source, "idle_wait", None)
     yield from ctx.start()
     while True:
         # wait_token(input_ring), inlined: swap out, block until the
         # token reaches this context, swap back in (TokenRing.acquire).
+        # A parked stage resumed mid-hop hands its holder
+        # ``(wait, check_pending)`` instead (InputParking.wake_now): the
+        # cycles up to the resume are already charged.
         ctx.holding_core = False
         core.release()
+        resume = None
         while not (ring_order[input_ring._position] == cid and not input_ring._holder_active):
             event = ring_waiting.get(cid)
             if event is None or event._done:
                 event = Event(sim, name=token_name)
                 ring_waiting[cid] = event
-            yield event
+            resume = yield event
         input_ring._holder_active = True
         yield core_acquire
         ctx.holding_core = True
-        if c_swap:
-            me.busy_cycles += c_swap
-            yield d_swap
-        # busy(c_port_check), inlined (zero-cost steps yield nothing,
-        # exactly like MicroContext.busy).
-        if c_port_check:
-            me.busy_cycles += c_port_check
-            yield d_port_check
+        if resume is None:
+            if c_swap:
+                me.busy_cycles += c_swap
+                yield d_swap
+            # busy(c_port_check), inlined (zero-cost steps yield nothing,
+            # exactly like MicroContext.busy).
+            if c_port_check:
+                me.busy_cycles += c_port_check
+                yield d_port_check
+        else:
+            wait, check_pending = resume
+            yield delay(wait)
+            if check_pending and c_port_check:
+                me.busy_cycles += c_port_check
+                yield d_port_check
         item = source.next_mp(ctx)
         if item is None:
             # pass_token(input_ring), inlined (TokenRing.release).
@@ -231,10 +250,16 @@ def input_loop(ctx: MicroContext, chip, source) -> Generator:
             input_ring._holder_active = False
             input_ring._position = pos = (input_ring._position + 1) % ring_len
             input_ring.rotations += 1
-            event = ring_pop(ring_order[pos], None)
-            if event is not None and not event._done:
-                event.succeed()
-            yield from source.idle_wait(ctx)
+            # An idle stage parks here instead of waking the next
+            # holder (see repro.ixp.parking.InputParking.try_park).
+            # InputParking.charges must list this hop's steps in order:
+            # swap, port check, pass (+ rotation).
+            if parking is None or not parking.try_park(sim.now, pos, core):
+                event = ring_pop(ring_order[pos], None)
+                if event is not None and not event._done:
+                    event.succeed()
+            if idle_wait is not None:
+                yield from idle_wait(ctx)
             continue
         rec = chip.recorder
         if rec.enabled and item.is_first and item.packet is not None:
@@ -577,6 +602,10 @@ def output_loop(ctx: MicroContext, chip, ports) -> Generator:
     ix_mask = ixj.mask
     ix_delays = tuple(delay(me.params.ix_bus_mp_cycles + j) for j in range(ix_mask + 1))
     ix_acquire = ix_bus.acquire()
+    parking = chip.output_parking
+    slot = chip.output_contexts.index(ctx)
+    backoff_step = OUTPUT_BACKOFF_STEP
+    backoff_max = OUTPUT_BACKOFF
     yield from ctx.start()
     current: Optional[list] = None  # [descriptor, mps_remaining]
     batch_remaining = 0
@@ -683,8 +712,25 @@ def output_loop(ctx: MicroContext, chip, ports) -> Generator:
                 # busy-spin the simulator (real contexts spin; backoff
                 # only engages when there is spare capacity anyway).
                 idle_streak += 1
-                backoff = min(200, 20 * idle_streak)
-                yield from ctx.blocked(backoff)
+                wait = delay(min(backoff_max, backoff_step * idle_streak))
+                if parking is not None:
+                    # An empty router's saturated backoff loop parks
+                    # here instead; it is resumed directly at a backoff
+                    # end (OutputParking.resume).  OutputParking.charges
+                    # must list this loop's steps in order: backoff,
+                    # swap-in, swap, token, pass (+ rotation), select.
+                    park = parking.idle(slot, sim.now, idle_streak)
+                    if park is not None:
+                        wait = park
+                # blocked(backoff), inlined.
+                ctx.holding_core = False
+                core.release()
+                yield wait
+                yield core_acquire
+                ctx.holding_core = True
+                if c_swap:
+                    me.busy_cycles += c_swap
+                    yield d_swap
                 continue
             idle_streak = 0
             if batched and batch_remaining > 0:
@@ -803,6 +849,7 @@ def dram_direct_input_loop(ctx: MicroContext, chip, source) -> Generator:
     side's DRAM->port; the memory channel, not the engines, saturates.
     """
     cost = chip.params.cost
+    idle_wait = getattr(source, "idle_wait", None)
     yield from ctx.start()
     while True:
         yield from ctx.wait_token(chip.input_ring)
@@ -810,7 +857,8 @@ def dram_direct_input_loop(ctx: MicroContext, chip, source) -> Generator:
         item = source.next_mp(ctx)
         if item is None:
             yield from ctx.pass_token(chip.input_ring)
-            yield from source.idle_wait(ctx)
+            if idle_wait is not None:
+                yield from idle_wait(ctx)
             continue
         yield from ctx.busy(cost.input_dma_issue)
         yield from ctx.pass_token(chip.input_ring)

@@ -60,7 +60,9 @@ class MACPort:
         self.tx_partial: List[MacPacket] = []
         self.transmitted: List[Packet] = []
         self.stats = StatSet(f"port{port_id}")
-        self.data_signal = sim.signal(f"port{port_id}-data")
+        #: The chip polling this port (set when it can park its idle
+        #: input loop): told about frames in advance and on delivery.
+        self.wake_listener = None
         self._tx_wire_free_at = 0
         self._source_proc = None
         # Called with (packet, frame_bytes) for every transmitted frame
@@ -81,9 +83,18 @@ class MACPort:
     def _rx_process(self, packets: Iterator[Packet]) -> Iterator:
         for packet in packets:
             frame = packet.to_bytes()
-            yield Delay(self.frame_cycles(len(frame) + 4))  # +FCS on the wire
+            cycles = self.frame_cycles(len(frame) + 4)  # +FCS on the wire
+            self.announce(self.sim.now + cycles)
+            yield Delay(cycles)
             packet.arrival_port = self.port_id
             self.deliver(packet, frame)
+
+    def announce(self, at: int) -> None:
+        """A frame will be delivered to this port at cycle ``at``: lets a
+        parked input stage resume in time.  Every delivery scheduled in
+        advance must announce it (a spurious announcement is harmless)."""
+        if self.wake_listener is not None:
+            self.wake_listener.announce(at)
 
     def deliver(self, packet: Packet, frame: Optional[bytes] = None) -> bool:
         """Immediate delivery of one frame (bypasses pacing).  Returns False
@@ -111,7 +122,8 @@ class MACPort:
         self.rx_buffer.extend(mps)
         self.stats.counter("rx_packets").add()
         self.stats.counter("rx_mps").add(len(mps))
-        self.data_signal.fire()
+        if self.wake_listener is not None:
+            self.wake_listener.rx_delivered()
         if duplicate is not None:
             self.deliver(duplicate, frame)
         return True

@@ -92,10 +92,12 @@ def replay(router, records: Iterable[TraceRecord], time_scale: float = 1.0) -> N
         for record in ordered:
             due = start + int(record.timestamp * time_scale)
             gap = due - router.sim.now
+            port = router.ports[record.port]
             if gap > 0:
+                port.announce(due)
                 yield Delay(gap)
             packet = record.parse()
-            router.ports[record.port].deliver(packet, record.frame)
+            port.deliver(packet, record.frame)
 
     router.sim.spawn(player(), name="trace-replay")
 

@@ -33,11 +33,15 @@ def chip_sampler(chip, recorder: Recorder, period: int = DEFAULT_SAMPLE_PERIOD) 
     d = delay(period)
     engines = [me for me in chip.engines if me.contexts]
     memories = [("dram", chip.dram), ("sram", chip.sram), ("scratch", chip.scratch)]
+    chip.settle(sim.now)
     last_me: List[int] = [me.busy_cycles for me in engines]
     last_mem: List[int] = [mem.busy_cycles for __, mem in memories]
     while True:
         yield d
         now = sim.now
+        # Parked idle loops are charged lazily (repro.ixp.parking); this
+        # sample runs before the loops' own events of this cycle.
+        chip.settle(now)
         for i, me in enumerate(engines):
             busy = me.busy_cycles
             util = (busy - last_me[i]) / period

@@ -151,11 +151,13 @@ def _collect(chip, recorder: Recorder, scenario: str, window: int, warmup: int,
 
     def open_window() -> None:
         chip.start_window()
+        chip.settle(sim.now)
         state["busy"] = [me.busy_cycles for me in chip.engines]
         state["counts"] = {name: dict(mem.access_counts) for name, mem in memories.items()}
 
     sim.schedule(warmup, open_window)
     sim.run(until=sim.now + warmup + window)
+    chip.settle(sim.now + 1)
     m = chip.report()
 
     # Per-stage measured memory references over the window.

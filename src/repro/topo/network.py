@@ -98,11 +98,15 @@ def _line_rate_cycles(frame_len: int, bps: float = 100e6) -> int:
 class _End:
     """One attachment point of a link (a router port or a host NIC)."""
 
-    __slots__ = ("name", "deliver")
+    __slots__ = ("name", "deliver", "announce")
 
-    def __init__(self, name: str, deliver: Callable[[Packet, bytes], Any]):
+    def __init__(self, name: str, deliver: Callable[[Packet, bytes], Any],
+                 announce: Optional[Callable[[int], None]] = None):
         self.name = name
         self.deliver = deliver
+        #: Called with the arrival cycle when a frame is put on the wire
+        #: toward this end (router ports wake a parked input stage).
+        self.announce = announce
 
 
 class InterRouterLink:
@@ -228,7 +232,10 @@ class InterRouterLink:
                 tracer.on_link_arrive(self, dup)
             dest.deliver(dup, frame)
 
-        self.sim.schedule(max(1, done + self.latency - now), arrive)
+        wait = max(1, done + self.latency - now)
+        if dest.announce is not None:
+            dest.announce(now + wait)
+        self.sim.schedule(wait, arrive)
         return True
 
     def send_control(self, from_index: int, data: bytes, kind: str) -> bool:
@@ -628,7 +635,7 @@ class Topology:
                 else:
                     tracer.on_node_drop(node.name, packet)
 
-        return _End(f"{node.name}.p{port_id}", deliver)
+        return _End(f"{node.name}.p{port_id}", deliver, port.announce)
 
     def add_host(self, name: str, router, latency: int = 100,
                  bandwidth_bps: Optional[float] = None, loss: float = 0.0,
