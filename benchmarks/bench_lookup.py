@@ -160,7 +160,7 @@ def test_workloads_scenario_gate(benchmark):
         benchmark,
         lambda: run_workloads(prefixes=PREFIXES, probes=PROBES, seed=SEED,
                               sample=1_000))
-    assert result.ok, result.failures()
+    assert result.ok, result.violations
     rows = [("invariants ok", 1, int(result.ok))]
     for r in result.reports:
         rows.append((f"{r.backend} build s", None, r.build_seconds))

@@ -125,12 +125,11 @@ def generate_report(quick: bool = True, window: int = None) -> str:
     for result in run_campaign("all", seed=0, window=fault_window,
                                warmup=15_000):
         injected = sum(result.fault_counts.values())
-        passed = sum(1 for inv in result.invariants if inv["ok"])
-        verdict = ("all hold" if result.ok
-                   else f"{len(result.invariants) - passed} FAILED")
+        failed, total = len(result.violations), len(result.invariants)
+        verdict = f"{failed} FAILED" if failed else "all hold"
         lines.append(
             f"| {result.scenario} | {injected} | {len(result.incidents)} | "
-            f"{passed}/{len(result.invariants)} ({verdict}) |"
+            f"{total - failed}/{total} ({verdict}) |"
         )
     lines.append("")
     return "\n".join(lines)

@@ -21,6 +21,7 @@ from repro.chaos.schedule import FaultSpec, generate_schedule, schedule_to_json
 from repro.control.channel import DEFAULT_MAX_ATTEMPTS
 from repro.control.linkstate import ADJ_FULL
 from repro.topo.network import LOGGED_KINDS, Topology
+from repro.verdict import Verdict, inv
 
 #: Campaign defaults: shorter than the scenario window (a campaign runs
 #: many trials) but long enough for every generated fault to start,
@@ -83,10 +84,6 @@ def _apply_fault(topo: Topology, spec: FaultSpec, warmup: int) -> None:
             drop=1.0, direction=0, kinds=("hello",))
 
 
-def _inv(name: str, ok: bool, detail: str) -> Dict[str, Any]:
-    return {"name": name, "ok": bool(ok), "detail": detail}
-
-
 def _adjacency_gaps(topo: Topology) -> List[str]:
     """Router-link pairs whose adjacency is not FULL-and-installed --
     empty on a recovered network (every generated fault heals)."""
@@ -122,7 +119,7 @@ def _missing_routes(topo: Topology) -> List[str]:
 
 
 @dataclass
-class TrialResult:
+class TrialResult(Verdict):
     """One schedule's verdict, JSON-ready and deterministic per
     ``(seed, trial, schedule)``."""
 
@@ -140,12 +137,8 @@ class TrialResult:
     rejected: int = 0
 
     @property
-    def ok(self) -> bool:
-        return all(inv["ok"] for inv in self.invariants)
-
-    @property
-    def violations(self) -> List[str]:
-        return [inv["name"] for inv in self.invariants if not inv["ok"]]
+    def label(self) -> str:
+        return f"trial {self.trial}"
 
     def artifact(self) -> Dict[str, Any]:
         return {
@@ -219,36 +212,36 @@ def run_trial(seed: int, trial: int,
     expected_logged = sum(topo.fault_counts.get(k, 0) for k in LOGGED_KINDS)
 
     invariants = [
-        _inv("initial-convergence", converge_cycles <= CONVERGE_HORIZON,
-             f"{converge_cycles} cycles (horizon {CONVERGE_HORIZON})"),
-        _inv("all-drops-accounted", 0 <= residual <= 8,
-             f"sent={acct['sent']} delivered={acct['delivered']} "
-             f"link_drops={acct['link_drops']} "
-             f"router_drops={acct['router_drops']} residual={residual}"),
-        _inv("control-settled",
-             topo._control_settled() and settle_cycles < SETTLE_HORIZON,
-             f"flooding quiet after {settle_cycles} settle cycles "
-             f"(horizon {SETTLE_HORIZON})"),
-        _inv("adjacencies-reformed", not gaps,
-             "all adjacencies FULL" if not gaps else
-             f"gaps: {', '.join(gaps)}"),
-        _inv("lsdbs-converged", topo._lsdbs_equal(),
-             "all LSDBs identical" if topo._lsdbs_equal() else
-             "LSDBs diverged after settle"),
-        _inv("routes-ground-truth", not missing,
-             "every router routes every host prefix" if not missing else
-             f"missing: {', '.join(missing)}"),
-        _inv("flooding-reliable", abandoned == 0,
-             f"{abandoned} LSAs abandoned after {ctrl_max_attempts} attempts"),
-        _inv("no-retransmit-storm", retx_tail == 0,
-             f"{retx_tail} retransmits in the {QUIET_TAIL}-cycle quiet tail"),
-        _inv("delivery-maintained",
-             h3.received_by_flow.get(fwd, 0) > 0
-             and h1.received_by_flow.get(rev, 0) > 0,
-             f"fwd {h3.received_by_flow.get(fwd, 0)}, "
-             f"rev {h1.received_by_flow.get(rev, 0)} delivered"),
-        _inv("incident-log-complete", len(logged) == expected_logged,
-             f"{len(logged)} logged incidents vs {expected_logged} counted"),
+        inv("initial-convergence", converge_cycles <= CONVERGE_HORIZON,
+            f"{converge_cycles} cycles (horizon {CONVERGE_HORIZON})"),
+        inv("all-drops-accounted", 0 <= residual <= 8,
+            f"sent={acct['sent']} delivered={acct['delivered']} "
+            f"link_drops={acct['link_drops']} "
+            f"router_drops={acct['router_drops']} residual={residual}"),
+        inv("control-settled",
+            topo._control_settled() and settle_cycles < SETTLE_HORIZON,
+            f"flooding quiet after {settle_cycles} settle cycles "
+            f"(horizon {SETTLE_HORIZON})"),
+        inv("adjacencies-reformed", not gaps,
+            "all adjacencies FULL" if not gaps else
+            f"gaps: {', '.join(gaps)}"),
+        inv("lsdbs-converged", topo._lsdbs_equal(),
+            "all LSDBs identical" if topo._lsdbs_equal() else
+            "LSDBs diverged after settle"),
+        inv("routes-ground-truth", not missing,
+            "every router routes every host prefix" if not missing else
+            f"missing: {', '.join(missing)}"),
+        inv("flooding-reliable", abandoned == 0,
+            f"{abandoned} LSAs abandoned after {ctrl_max_attempts} attempts"),
+        inv("no-retransmit-storm", retx_tail == 0,
+            f"{retx_tail} retransmits in the {QUIET_TAIL}-cycle quiet tail"),
+        inv("delivery-maintained",
+            h3.received_by_flow.get(fwd, 0) > 0
+            and h1.received_by_flow.get(rev, 0) > 0,
+            f"fwd {h3.received_by_flow.get(fwd, 0)}, "
+            f"rev {h1.received_by_flow.get(rev, 0)} delivered"),
+        inv("incident-log-complete", len(logged) == expected_logged,
+            f"{len(logged)} logged incidents vs {expected_logged} counted"),
     ]
     return TrialResult(
         seed=seed, trial=trial, schedule=schedule,
@@ -275,15 +268,8 @@ class CampaignResult:
     minimal: Dict[int, List[FaultSpec]] = field(default_factory=dict)
 
     @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.results)
-
-    @property
     def failed_trials(self) -> List[int]:
         return [r.trial for r in self.results if not r.ok]
-
-    def exit_code(self) -> int:
-        return 0 if self.ok else 1
 
     def artifact(self) -> Dict[str, Any]:
         return {
@@ -292,7 +278,7 @@ class CampaignResult:
             "window_cycles": self.window_cycles,
             "warmup_cycles": self.warmup_cycles,
             "ctrl_max_attempts": self.ctrl_max_attempts,
-            "ok": self.ok,
+            "ok": not self.failed_trials,
             "failed_trials": self.failed_trials,
             "results": [r.artifact() for r in self.results],
             "minimal_schedules": {
@@ -315,9 +301,6 @@ class CampaignResult:
                          f"({len(sched)} faults):")
             for f in sched:
                 lines.append(f"  - {f.describe()}")
-        verdict = ("all trials recovered" if self.ok else
-                   f"VIOLATIONS in trials: {self.failed_trials}")
-        lines.append(verdict)
         return lines
 
     def to_json(self, indent: int = 2) -> str:

@@ -142,6 +142,54 @@ def cmd_profile(args) -> None:
         print(result.to_json(include_trace=False, indent=2))
 
 
+def _canonical(doc) -> str:
+    from repro.obs import export
+
+    return export.dumps(doc, indent=2, sort_keys=True)
+
+
+def _gate(args, runs, document=None, lines=None, files=(), bench=None) -> int:
+    """The one output path of the invariant-gated runners (README,
+    "Runner contract").  ``--json`` prints ``document`` -- by default
+    the list of run artifacts -- as exactly one sorted-key JSON document
+    and nothing else; otherwise ``lines`` (by default every run's
+    table), a line per written file and one summary line.
+    ``--artifact-out`` gets ``document``, ``--incidents-out`` the
+    incident log, and ``files`` pairs other file flags with payloads.
+    ``bench`` is ``(rows, config)`` for ``BENCH_<name>.json``, recorded
+    unless ``--no-bench``.  Returns the worst exit code."""
+    if document is None:
+        document = [r.artifact() for r in runs]
+    if lines is None:
+        lines = [line for r in runs for line in (*r.table(), "")]
+    say = (lambda text: None) if args.json else print
+    if args.json:
+        print(_canonical(document))
+    for line in lines:
+        say(line)
+    if getattr(args, "artifact_out", None):
+        files = [(args.artifact_out, _canonical(document)), *files]
+    if getattr(args, "incidents_out", None):
+        files = [(args.incidents_out, runs[0].incident_log_json() if len(runs) == 1
+                  else _canonical(document)), *files]
+    for path, payload in files:
+        if path:
+            with open(path, "w") as fh:
+                fh.write(payload + "\n")
+            say(f"wrote {path}")
+    if bench is not None and not args.no_bench:
+        from repro.obs.bench_record import record_benchmark
+
+        rows, config = bench
+        path = record_benchmark(args.bench_name, rows, seed=args.seed,
+                                config=config)
+        say(f"bench trajectory written to {path}")
+    failed = [f"{r.label} ({', '.join(r.violations)})" for r in runs if not r.ok]
+    say(f"INVARIANT VIOLATIONS in: {', '.join(failed)}" if failed
+        else f"all invariants held across {len(runs)} run(s)")
+    return max((r.exit_code() for r in runs), default=0)
+
+
 def cmd_monitor(args) -> int:
     from repro.obs.monitor import monitor_scenario
 
@@ -155,130 +203,39 @@ def cmd_monitor(args) -> int:
         window=args.window,
         warmup=args.warmup,
         period=args.period,
-        on_evaluate=None if args.quiet else narrate,
+        on_evaluate=None if args.quiet or args.json else narrate,
     )
-    print(result.monitor.health_table())
-    if args.json:
-        print(result.to_json(indent=2))
-    if args.incidents_out:
-        from repro.obs import export
-
-        with open(args.incidents_out, "w") as fh:
-            fh.write(export.dumps({"scenario": args.scenario,
-                                   "incidents": result.incidents}, indent=2))
-        print(f"incident log written to {args.incidents_out}")
-    return result.exit_code()
+    return _gate(args, [result], document=result.artifact(),
+                 lines=[result.monitor.health_table()])
 
 
 def cmd_faults(args) -> int:
     from repro.faults.campaign import run_campaign
-    from repro.obs import export
 
-    results = run_campaign(args.scenario, seed=args.seed,
-                           window=args.window, warmup=args.warmup)
-    if args.json:
-        # Machine-readable mode: the JSON document is the whole output,
-        # so it can be piped straight into a parser.
-        print(export.dumps([r.to_dict() for r in results], indent=2,
-                           sort_keys=True))
-    else:
-        for result in results:
-            for line in result.table():
-                print(line)
-            print()
-    if args.incidents_out:
-        payload = (results[0].incident_log_json() if len(results) == 1 else
-                   export.dumps([r.to_dict() for r in results], indent=2,
-                                sort_keys=True))
-        with open(args.incidents_out, "w") as fh:
-            fh.write(payload + "\n")
-        if not args.json:
-            print(f"incident log written to {args.incidents_out}")
-    if not args.json:
-        failed = [r.scenario for r in results if not r.ok]
-        if failed:
-            print(f"INVARIANT VIOLATIONS in: {', '.join(failed)}")
-        else:
-            print(f"all invariants held across {len(results)} scenario(s)")
-    return max((r.exit_code() for r in results), default=0)
+    return _gate(args, run_campaign(args.scenario, seed=args.seed,
+                                    window=args.window, warmup=args.warmup))
 
 
 def cmd_topo(args) -> int:
-    from repro.obs import export
-    from repro.obs.bench_record import record_benchmark
     from repro.topo.scenarios import bench_rows, run_topo
 
     results = run_topo(args.scenario, seed=args.seed,
                        window=args.window, warmup=args.warmup)
-    if args.json:
-        print(export.dumps([r.artifact() for r in results], indent=2,
-                           sort_keys=True))
-    else:
-        for result in results:
-            for line in result.table():
-                print(line)
-            print()
-    if args.incidents_out:
-        payload = (results[0].incident_log_json() if len(results) == 1 else
-                   export.dumps([export.sanitize(r.artifact()) for r in results],
-                                indent=2, sort_keys=True))
-        with open(args.incidents_out, "w") as fh:
-            fh.write(payload + "\n")
-        if not args.json:
-            print(f"incident log written to {args.incidents_out}")
-    if not args.no_bench:
-        path = record_benchmark(
-            "topo_scenarios", bench_rows(results), seed=args.seed,
-            config={"scenario": args.scenario, "window": args.window,
-                    "warmup": args.warmup})
-        if not args.json:
-            print(f"bench trajectory written to {path}")
-    if not args.json:
-        failed = [r.scenario for r in results if not r.ok]
-        if failed:
-            print(f"INVARIANT VIOLATIONS in: {', '.join(failed)}")
-        else:
-            print(f"all invariants held across {len(results)} scenario(s)")
-    return max((r.exit_code() for r in results), default=0)
+    return _gate(args, results, bench=(bench_rows(results), {
+        "scenario": args.scenario, "window": args.window, "warmup": args.warmup}))
 
 
 def cmd_netview(args) -> int:
     from repro.obs import export
-    from repro.obs.bench_record import record_benchmark
     from repro.topo.netview import bench_rows, run_netview
 
     views = run_netview(args.scenario, seed=args.seed, window=args.window,
                         warmup=args.warmup, top=args.top)
-    if args.json:
-        print(export.dumps([export.sanitize(v.artifact()) for v in views],
-                           indent=2, sort_keys=True))
-    else:
-        for view in views:
-            for line in view.table():
-                print(line)
-            print()
-    if args.chrome or args.chrome_out:
-        for view in views:
-            out = args.chrome_out or f"netview-{view.scenario}.chrome.json"
-            with open(out, "w") as fh:
-                fh.write(export.dumps(view.chrome(), sort_keys=True))
-                fh.write("\n")
-            if not args.json:
-                print(f"merged chrome trace written to {out}")
-    if not args.no_bench:
-        path = record_benchmark(
-            "netview", bench_rows(views), seed=args.seed,
-            config={"scenario": args.scenario, "window": args.window,
-                    "warmup": args.warmup})
-        if not args.json:
-            print(f"bench trajectory written to {path}")
-    if not args.json:
-        failed = [v.scenario for v in views if not v.ok]
-        if failed:
-            print(f"NETVIEW GATE FAILED in: {', '.join(failed)}")
-        else:
-            print(f"netview gate held across {len(views)} scenario(s)")
-    return max((v.exit_code() for v in views), default=0)
+    files = [(args.chrome_out or f"netview-{v.scenario}.chrome.json",
+              export.dumps(v.chrome(), sort_keys=True))
+             for v in views if args.chrome or args.chrome_out]
+    return _gate(args, views, files=files, bench=(bench_rows(views), {
+        "scenario": args.scenario, "window": args.window, "warmup": args.warmup}))
 
 
 def cmd_chaos(args) -> int:
@@ -286,8 +243,6 @@ def cmd_chaos(args) -> int:
                              schedule_to_json)
     from repro.chaos.campaign import bench_rows, replay_schedule
     from repro.control.channel import DEFAULT_MAX_ATTEMPTS
-    from repro.obs import export
-    from repro.obs.bench_record import record_benchmark
 
     if args.max_attempts is None:
         args.max_attempts = DEFAULT_MAX_ATTEMPTS
@@ -297,72 +252,36 @@ def cmd_chaos(args) -> int:
         result = replay_schedule(schedule, seed=args.seed,
                                  window=args.window, warmup=args.warmup,
                                  ctrl_max_attempts=args.max_attempts)
-        if args.json:
-            print(export.dumps(result.artifact(), indent=2, sort_keys=True))
-        else:
-            for spec in schedule:
-                print(f"replaying: {spec.describe()}")
-            verdict = ("recovered" if result.ok else
-                       f"VIOLATIONS: {', '.join(result.violations)}")
-            print(f"replay of {args.replay} (seed {args.seed}): {verdict}")
-        return 0 if result.ok else 1
+        verdict = "recovered" if result.ok else "violated"
+        return _gate(args, [result], document=result.artifact(), lines=[
+            *(f"replaying: {spec.describe()}" for spec in schedule),
+            f"replay of {args.replay} (seed {args.seed}): {verdict}"])
 
     campaign = run_campaign(args.seed, args.trials, window=args.window,
                             warmup=args.warmup, shrink=args.shrink,
                             ctrl_max_attempts=args.max_attempts)
-    if args.json:
-        print(campaign.to_json())
-    else:
-        for line in campaign.table():
-            print(line)
-    if args.artifact_out:
-        with open(args.artifact_out, "w") as fh:
-            fh.write(campaign.to_json() + "\n")
-        if not args.json:
-            print(f"campaign artifact written to {args.artifact_out}")
-    if args.minimal_out and campaign.minimal:
-        first = min(campaign.minimal)
-        with open(args.minimal_out, "w") as fh:
-            fh.write(schedule_to_json(campaign.minimal[first]) + "\n")
-        if not args.json:
-            print(f"minimal schedule for trial {first} written to "
-                  f"{args.minimal_out}")
-    if not args.no_bench:
-        path = record_benchmark(
-            "chaos", bench_rows(campaign), seed=args.seed,
-            config={"trials": args.trials, "window": args.window,
-                    "warmup": args.warmup,
-                    "max_attempts": args.max_attempts})
-        if not args.json:
-            print(f"bench trajectory written to {path}")
-    return campaign.exit_code()
+    first = sorted(campaign.minimal.items())[:1]  # the first minimal schedule, if any
+    return _gate(args, campaign.results, document=campaign.artifact(),
+                 lines=campaign.table(),
+                 files=[(args.minimal_out, schedule_to_json(s)) for _, s in first],
+                 bench=(bench_rows(campaign), {
+                     "trials": args.trials, "window": args.window,
+                     "warmup": args.warmup, "max_attempts": args.max_attempts}))
 
 
 def cmd_workloads(args) -> int:
-    from repro.obs import export
     from repro.workloads import run_workloads
 
-    backends = None if args.backend == "both" else (args.backend,)
     result = run_workloads(
         prefixes=args.prefixes,
         probes=args.probes,
         seed=args.seed,
-        backends=backends,
+        backends=None if args.backend == "both" else (args.backend,),
         zipf_s=args.zipf_s,
         cache_bits=args.cache_bits,
         sample=args.sample,
     )
-    if args.json:
-        print(export.dumps(export.sanitize(result.artifact()), indent=2,
-                           sort_keys=True))
-    else:
-        for line in result.table():
-            print(line)
-        if result.ok:
-            print(f"all invariants held across {len(result.reports)} backend(s)")
-        else:
-            print(f"INVARIANT VIOLATIONS: {', '.join(result.failures())}")
-    return result.exit_code()
+    return _gate(args, [result], document=result.artifact(), lines=result.table())
 
 
 def cmd_lint(args) -> int:
@@ -394,6 +313,37 @@ def cmd_plan(args) -> None:
     for port in range(len(speeds)):
         contexts = partition.contexts_for_port(port)
         print(f"  port {port} ({args.speeds[port]} Mbps): contexts {contexts}")
+
+
+def _runner(sub, name: str, help: str, scenarios=None, *, seed: bool = True,
+            window=None, warmup=None, incidents: bool = False, bench=None):
+    """The subparser of one invariant-gated runner, declaring the flags
+    they share (README, "Runner contract").  ``scenarios`` is the
+    ``(choices, help)`` of a positional scenario argument."""
+    p = sub.add_parser(name, help=help)
+    if scenarios is not None:
+        p.add_argument("scenario", choices=scenarios[0], help=scenarios[1])
+    if seed:
+        p.add_argument("--seed", type=int, default=0,
+                       help="run seed (default 0); every output is "
+                       "byte-identical per seed")
+    if window is not None:
+        p.add_argument("--window", type=int, default=window,
+                       help="measurement window in cycles (default %(default)s)")
+    if warmup is not None:
+        p.add_argument("--warmup", type=int, default=warmup,
+                       help="warmup cycles before the window (default %(default)s)")
+    p.add_argument("--json", action="store_true",
+                   help="print the artifact as one sorted-key JSON document "
+                   "and nothing else")
+    if incidents:
+        p.add_argument("--incidents-out", default=None,
+                       help="write the canonical incident log to this path")
+    if bench is not None:
+        p.add_argument("--no-bench", action="store_true",
+                       help=f"skip writing BENCH_{bench}.json")
+        p.set_defaults(bench_name=bench)
+    return p
 
 
 COMMANDS: Dict[str, Callable] = {
@@ -451,113 +401,49 @@ def main(argv=None) -> int:
                                 "Chrome traceEvents for chrome://tracing (default json)")
     profile_parser.add_argument("--json", action="store_true",
                                 help="also print the profile (without trace) as JSON")
-    monitor_parser = sub.add_parser(
-        "monitor", help="run the health watchdog over a scenario; exits "
-        "non-zero when any rule is red"
-    )
-    monitor_parser.add_argument("scenario",
-                                choices=("fastpath", "vrp", "router", "overload"),
-                                help="which scenario to monitor "
-                                "(overload is deliberately unhealthy)")
-    monitor_parser.add_argument("--window", type=int, default=120_000,
-                                help="monitored window in cycles (default 120000)")
-    monitor_parser.add_argument("--warmup", type=int, default=20_000,
-                                help="unmonitored warmup cycles (default 20000)")
+    monitor_parser = _runner(
+        sub, "monitor", "run the health watchdog over a scenario; exits "
+        "non-zero when any rule is red",
+        (("fastpath", "vrp", "router", "overload"),
+         "which scenario to monitor (overload is deliberately unhealthy)"),
+        seed=False, window=120_000, warmup=20_000, incidents=True)
     monitor_parser.add_argument("--period", type=int, default=10_000,
                                 help="cycles between rule evaluations (default 10000)")
     monitor_parser.add_argument("--quiet", action="store_true",
                                 help="suppress per-evaluation status lines")
-    monitor_parser.add_argument("--json", action="store_true",
-                                help="also print the monitor result as JSON")
-    monitor_parser.add_argument("--incidents-out", default=None,
-                                help="write the structured incident log to this path")
-    faults_parser = sub.add_parser(
-        "faults", help="run a deterministic fault-injection campaign; "
-        "exits non-zero when any robustness invariant breaks"
-    )
-    faults_parser.add_argument(
-        "scenario",
-        choices=("pentium-crash", "strongarm-crash", "vrp-overrun",
-                 "link-flap", "memory-stress", "i2o-storm", "all"),
-        help="which fault scenario to replay (or all of them)")
-    faults_parser.add_argument("--seed", type=int, default=0,
-                               help="fault-schedule seed (default 0); the "
-                               "incident log is byte-identical per seed")
-    faults_parser.add_argument("--window", type=int, default=150_000,
-                               help="measurement window in cycles (default 150000)")
-    faults_parser.add_argument("--warmup", type=int, default=20_000,
-                               help="fault-free warmup cycles (default 20000)")
-    faults_parser.add_argument("--json", action="store_true",
-                               help="also print every campaign result as JSON")
-    faults_parser.add_argument("--incidents-out", default=None,
-                               help="write the canonical incident log to this path")
-    topo_parser = sub.add_parser(
-        "topo", help="run a multi-router network scenario; exits non-zero "
-        "when any network invariant breaks"
-    )
-    topo_parser.add_argument(
-        "scenario",
-        choices=("link-failure", "route-churn", "congestion-collapse", "all"),
-        help="which network scenario to run (or all of them)")
-    topo_parser.add_argument("--seed", type=int, default=0,
-                             help="topology seed (default 0); incident logs "
-                             "and trace hashes are byte-identical per seed")
-    topo_parser.add_argument("--window", type=int, default=240_000,
-                             help="measurement window in cycles (default 240000)")
-    topo_parser.add_argument("--warmup", type=int, default=20_000,
-                             help="post-convergence warmup cycles (default 20000)")
-    topo_parser.add_argument("--json", action="store_true",
-                             help="print every scenario artifact as JSON")
-    topo_parser.add_argument("--incidents-out", default=None,
-                             help="write the canonical incident log to this path")
-    topo_parser.add_argument("--no-bench", action="store_true",
-                             help="skip writing BENCH_topo_scenarios.json")
-    netview_parser = sub.add_parser(
-        "netview", help="rerun a topo scenario with network-wide tracing "
+    _runner(sub, "faults", "run a deterministic fault-injection campaign; "
+            "exits non-zero when any robustness invariant breaks",
+            (("pentium-crash", "strongarm-crash", "vrp-overrun", "link-flap",
+              "memory-stress", "i2o-storm", "all"),
+             "which fault scenario to replay (or all of them)"),
+            window=150_000, warmup=20_000, incidents=True)
+    network = ("link-failure", "route-churn", "congestion-collapse", "all")
+    _runner(sub, "topo", "run a multi-router network scenario; exits non-zero "
+            "when any network invariant breaks",
+            (network, "which network scenario to run (or all of them)"),
+            window=240_000, warmup=20_000, incidents=True, bench="topo_scenarios")
+    netview_parser = _runner(
+        sub, "netview", "rerun a topo scenario with network-wide tracing "
         "+ time-series metrics and render the network health report; "
-        "exits non-zero when the scenario or observability gate breaks"
-    )
-    netview_parser.add_argument(
-        "scenario",
-        choices=("link-failure", "route-churn", "congestion-collapse", "all"),
-        help="which network scenario to observe (or all of them)")
-    netview_parser.add_argument("--seed", type=int, default=0,
-                                help="topology seed (default 0); the report, "
-                                "JSON artifact and chrome trace are "
-                                "byte-identical per seed")
-    netview_parser.add_argument("--window", type=int, default=240_000,
-                                help="measurement window in cycles (default 240000)")
-    netview_parser.add_argument("--warmup", type=int, default=20_000,
-                                help="post-convergence warmup cycles (default 20000)")
+        "exits non-zero when the scenario or observability gate breaks",
+        (network, "which network scenario to observe (or all of them)"),
+        window=240_000, warmup=20_000, bench="netview")
     netview_parser.add_argument("--top", type=int, default=5,
                                 help="top-N congested links / slowest flows "
                                 "(default 5)")
-    netview_parser.add_argument("--json", action="store_true",
-                                help="print every scenario's netview artifact as JSON")
     netview_parser.add_argument("--chrome", action="store_true",
                                 help="write the merged multi-process Chrome "
                                 "trace (netview-<scenario>.chrome.json)")
     netview_parser.add_argument("--chrome-out", default=None,
                                 help="chrome trace output path (single scenario)")
-    netview_parser.add_argument("--no-bench", action="store_true",
-                                help="skip writing BENCH_netview.json")
-    chaos_parser = sub.add_parser(
-        "chaos", help="run seeded randomized fault schedules against the "
+    chaos_parser = _runner(
+        sub, "chaos", "run seeded randomized fault schedules against the "
         "scenario ring; exits non-zero when any trial violates a recovery "
-        "invariant"
-    )
-    chaos_parser.add_argument("--seed", type=int, default=0,
-                              help="campaign seed (default 0); schedules and "
-                              "verdicts are byte-identical per seed")
+        "invariant",
+        window=90_000, warmup=10_000, bench="chaos")
     chaos_parser.add_argument("--trials", type=int, default=10,
                               help="generated fault schedules to run "
                               "(default 10)")
-    chaos_parser.add_argument("--window", type=int, default=90_000,
-                              help="per-trial measurement window in cycles "
-                              "(default 90000)")
-    chaos_parser.add_argument("--warmup", type=int, default=10_000,
-                              help="post-convergence warmup cycles "
-                              "(default 10000)")
     chaos_parser.add_argument("--shrink", action="store_true",
                               help="delta-debug each violating schedule to "
                               "a minimal reproducing fault set")
@@ -565,10 +451,9 @@ def main(argv=None) -> int:
                               help="per-LSA retransmit budget (default: the "
                               "channel's; lower to 1 to plant a fragile "
                               "control plane for shrinker demos)")
-    chaos_parser.add_argument("--json", action="store_true",
-                              help="print the campaign artifact as JSON")
     chaos_parser.add_argument("--artifact-out", default=None, metavar="FILE",
-                              help="write the campaign artifact JSON to FILE")
+                              help="write the campaign (or replayed trial) "
+                              "artifact JSON to FILE")
     chaos_parser.add_argument("--minimal-out", default=None, metavar="FILE",
                               help="write the first minimal schedule (when "
                               "--shrink found one) to FILE, replayable via "
@@ -576,20 +461,14 @@ def main(argv=None) -> int:
     chaos_parser.add_argument("--replay", default=None, metavar="FILE",
                               help="replay a serialized schedule instead of "
                               "generating trials")
-    chaos_parser.add_argument("--no-bench", action="store_true",
-                              help="skip writing BENCH_chaos.json")
-    workloads_parser = sub.add_parser(
-        "workloads", help="build BGP-shaped tables, replay internet-shaped "
+    workloads_parser = _runner(
+        sub, "workloads", "build BGP-shaped tables, replay internet-shaped "
         "probe streams and verify lookup invariants; exits non-zero when "
-        "any invariant breaks"
-    )
+        "any invariant breaks")
     workloads_parser.add_argument("--prefixes", type=int, default=100_000,
                                   help="routing-table size (default 100000)")
     workloads_parser.add_argument("--probes", type=int, default=100_000,
                                   help="Zipf probe count (default 100000)")
-    workloads_parser.add_argument("--seed", type=int, default=0,
-                                  help="workload seed (default 0); tables, "
-                                  "streams and results are deterministic per seed")
     workloads_parser.add_argument("--backend",
                                   choices=("cpe", "bidirectional", "both"),
                                   default="both",
@@ -601,8 +480,6 @@ def main(argv=None) -> int:
     workloads_parser.add_argument("--sample", type=int, default=2_000,
                                   help="trie-vs-reference agreement sample "
                                   "size (default 2000)")
-    workloads_parser.add_argument("--json", action="store_true",
-                                  help="print the result artifact as JSON")
     lint_parser = sub.add_parser(
         "lint", help="determinism & invariant static analysis; exits "
         "non-zero on any non-baselined violation"
@@ -621,6 +498,9 @@ def main(argv=None) -> int:
                              help="print the rule-code table and exit")
 
     args = parser.parse_args(argv)
+    if args.command == "netview" and args.chrome_out and args.scenario == "all":
+        netview_parser.error("--chrome-out names one file; pick one scenario "
+                             "or use --chrome")
     if args.command in (None, "list"):
         from repro.obs.profile import SCENARIO_DESCRIPTIONS
 

@@ -32,6 +32,7 @@ from repro.core.vrp import RegOps, SramRead, VRPProgram
 from repro.faults.recovery import OverrunningVRPProgram
 from repro.net.traffic import flow_stream, take
 from repro.obs import export
+from repro.verdict import Verdict, inv, invariant_table
 
 DEFAULT_WINDOW = 150_000
 DEFAULT_WARMUP = 20_000
@@ -171,25 +172,21 @@ def _run(traffic: Callable[[Router], None],
 # Invariant helpers.
 # ---------------------------------------------------------------------------
 
-def _inv(name: str, ok: bool, detail: str) -> Dict[str, Any]:
-    return {"name": name, "ok": bool(ok), "detail": detail}
-
-
 def _within(name: str, faulted: int, baseline: int, fraction: float = 0.01,
             floor: int = 2) -> Dict[str, Any]:
     """|faulted - baseline| <= max(floor, fraction * baseline).  The
     floor keeps 1% meaningful when the window only fits ~100 packets."""
     tolerance = max(floor, int(fraction * baseline))
     ok = abs(faulted - baseline) <= tolerance
-    return _inv(name, ok,
-                f"faulted={faulted} baseline={baseline} tolerance={tolerance}")
+    return inv(name, ok,
+               f"faulted={faulted} baseline={baseline} tolerance={tolerance}")
 
 
 def _no_silent_corruption(outcome: _Outcome) -> Dict[str, Any]:
     leaked = sum(1 for p in outcome.router.transmitted()
                  if p.meta.get("fault_corrupted"))
-    return _inv("no-silent-corruption", leaked == 0,
-                f"{leaked} corrupted packets transmitted")
+    return inv("no-silent-corruption", leaked == 0,
+               f"{leaked} corrupted packets transmitted")
 
 
 def _accounted_exceptional(outcome: _Outcome, slack: int = 4) -> Dict[str, Any]:
@@ -204,9 +201,9 @@ def _accounted_exceptional(outcome: _Outcome, slack: int = 4) -> Dict[str, Any]:
                  + len(router.chip.sa_local_queue)
                  + len(router.chip.sa_pentium_queue))
     residual = stats.get("exceptional", 0) - accounted
-    return _inv("exceptional-accounted", 0 <= residual <= slack,
-                f"exceptional={stats.get('exceptional', 0)} "
-                f"accounted={accounted} residual={residual}")
+    return inv("exceptional-accounted", 0 <= residual <= slack,
+               f"exceptional={stats.get('exceptional', 0)} "
+               f"accounted={accounted} residual={residual}")
 
 
 def _bridge_conserved(outcome: _Outcome, slack: int = 2) -> Dict[str, Any]:
@@ -218,9 +215,9 @@ def _bridge_conserved(outcome: _Outcome, slack: int = 2) -> Dict[str, Any]:
             + router.to_pentium.occupancy
             + router.to_pentium.messages_lost)
     residual = outcome.stats.get("sa_bridged", 0) - sunk
-    return _inv("bridge-conserved", 0 <= residual <= slack,
-                f"bridged={outcome.stats.get('sa_bridged', 0)} sunk={sunk} "
-                f"residual={residual}")
+    return inv("bridge-conserved", 0 <= residual <= slack,
+               f"bridged={outcome.stats.get('sa_bridged', 0)} sunk={sunk} "
+               f"residual={residual}")
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +225,7 @@ def _bridge_conserved(outcome: _Outcome, slack: int = 2) -> Dict[str, Any]:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class CampaignResult:
+class CampaignResult(Verdict):
     scenario: str
     seed: int
     warmup_cycles: int
@@ -240,14 +237,7 @@ class CampaignResult:
     faulted: Dict[str, Any] = field(default_factory=dict)
     trace_hash: Optional[str] = None
 
-    @property
-    def ok(self) -> bool:
-        return all(inv["ok"] for inv in self.invariants)
-
-    def exit_code(self) -> int:
-        return 0 if self.ok else 1
-
-    def to_dict(self) -> Dict[str, Any]:
+    def artifact(self) -> Dict[str, Any]:
         return {
             "scenario": self.scenario,
             "seed": self.seed,
@@ -264,14 +254,11 @@ class CampaignResult:
 
     def incident_log_json(self) -> str:
         """The campaign's canonical artifact; byte-identical per seed."""
-        return export.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return export.dumps(self.artifact(), indent=2, sort_keys=True)
 
     def table(self) -> List[str]:
         lines = [f"## {self.scenario} (seed {self.seed})",
-                 "| invariant | ok | detail |", "|---|---|---|"]
-        for inv in self.invariants:
-            mark = "PASS" if inv["ok"] else "FAIL"
-            lines.append(f"| {inv['name']} | {mark} | {inv['detail']} |")
+                 *invariant_table(self.invariants)]
         counts = ", ".join(f"{k}={v}" for k, v in sorted(self.fault_counts.items()))
         lines.append(f"faults: {counts or 'none'}; "
                      f"incidents: {len(self.incidents)}")
@@ -329,10 +316,10 @@ def _scenario_pentium_crash(seed: int, window: int, warmup: int) -> CampaignResu
     at_restart = faulted.marks.get("pentium_processed_at_restart", 0)
     invariants = [
         _within("fastpath-isolation", faulted.fast_tx, baseline.fast_tx),
-        _inv("crash-and-restart", pent.crashes == 1 and pent.restarts == 1,
-             f"crashes={pent.crashes} restarts={pent.restarts}"),
-        _inv("slow-path-resumes", pent.processed > at_restart,
-             f"processed={pent.processed} at_restart={at_restart}"),
+        inv("crash-and-restart", pent.crashes == 1 and pent.restarts == 1,
+            f"crashes={pent.crashes} restarts={pent.restarts}"),
+        inv("slow-path-resumes", pent.processed > at_restart,
+            f"processed={pent.processed} at_restart={at_restart}"),
         _accounted_exceptional(faulted),
         _bridge_conserved(faulted),
         _no_silent_corruption(faulted),
@@ -367,10 +354,10 @@ def _scenario_strongarm_crash(seed: int, window: int, warmup: int) -> CampaignRe
     at_restart = faulted.marks.get("sa_local_at_restart", 0)
     invariants = [
         _within("fastpath-isolation", faulted.fast_tx, baseline.fast_tx),
-        _inv("crash-and-restart", sa.crashes == 1 and sa.restarts == 1,
-             f"crashes={sa.crashes} restarts={sa.restarts}"),
-        _inv("slow-path-resumes", sa.local_processed > at_restart,
-             f"local_processed={sa.local_processed} at_restart={at_restart}"),
+        inv("crash-and-restart", sa.crashes == 1 and sa.restarts == 1,
+            f"crashes={sa.crashes} restarts={sa.restarts}"),
+        inv("slow-path-resumes", sa.local_processed > at_restart,
+            f"local_processed={sa.local_processed} at_restart={at_restart}"),
         _accounted_exceptional(faulted),
         _no_silent_corruption(faulted),
     ]
@@ -400,12 +387,12 @@ def _scenario_vrp_overrun(seed: int, window: int, warmup: int) -> CampaignResult
     quarantined = list(faulted.watchdog.quarantined.values())
     matched = quarantined[0]["packets_matched"] if quarantined else -1
     invariants = [
-        _inv("watchdog-quarantines", len(quarantined) == 1,
-             f"{len(quarantined)} forwarders quarantined"),
-        _inv("quarantine-bounded",
-             bool(quarantined) and matched <= QUARANTINE_PACKET_BOUND,
-             f"quarantined after {matched} packets "
-             f"(bound {QUARANTINE_PACKET_BOUND})"),
+        inv("watchdog-quarantines", len(quarantined) == 1,
+            f"{len(quarantined)} forwarders quarantined"),
+        inv("quarantine-bounded",
+            bool(quarantined) and matched <= QUARANTINE_PACKET_BOUND,
+            f"quarantined after {matched} packets "
+            f"(bound {QUARANTINE_PACKET_BOUND})"),
         _within("fastpath-isolation", faulted.fast_tx, baseline.fast_tx),
         _within("forwarding-continues", faulted.tx[3], faulted.tx[0],
                 fraction=0.05, floor=QUARANTINE_PACKET_BOUND + 4),
@@ -444,13 +431,13 @@ def _scenario_link_flap(seed: int, window: int, warmup: int) -> CampaignResult:
                   + lost - dup)
     invariants = [
         _within("unaffected-port-isolation", faulted.tx[0], baseline.tx[0]),
-        _inv("link-flap-fired", counts.get("link-drop", 0) > 0,
-             f"link-drop={counts.get('link-drop', 0)}"),
-        _inv("corruption-detected", 0 <= corrupt - failures_delta <= 2,
-             f"mac-corrupt={corrupt} validation-failure-delta={failures_delta}"),
-        _inv("input-conserved", abs(faulted_in - base_in) <= 4,
-             f"faulted-accounted={faulted_in} baseline={base_in} "
-             f"(lost={lost} dup={dup})"),
+        inv("link-flap-fired", counts.get("link-drop", 0) > 0,
+            f"link-drop={counts.get('link-drop', 0)}"),
+        inv("corruption-detected", 0 <= corrupt - failures_delta <= 2,
+            f"mac-corrupt={corrupt} validation-failure-delta={failures_delta}"),
+        inv("input-conserved", abs(faulted_in - base_in) <= 4,
+            f"faulted-accounted={faulted_in} baseline={base_in} "
+            f"(lost={lost} dup={dup})"),
         _no_silent_corruption(faulted),
     ]
     return _result("link-flap", seed, window, warmup, baseline, faulted,
@@ -487,18 +474,18 @@ def _scenario_memory_stress(seed: int, window: int, warmup: int) -> CampaignResu
     total_tx = sum(faulted.tx)
     rx_delta = faulted.rx_overflow() - baseline.rx_overflow()
     invariants = [
-        _inv("all-faults-fired",
-             counts.get("memory-spike", 0) == 2
-             and counts.get("me-crash", 0) == 1
-             and counts.get("pci-stall", 0) == 1,
-             f"counts={dict(sorted(counts.items()))}"),
-        _inv("degradation-bounded", faulted.fast_tx >= 0.75 * baseline.fast_tx,
-             f"faulted={faulted.fast_tx} baseline={baseline.fast_tx}"),
-        _inv("forwarding-resumes", total_tx > tx_at_resume,
-             f"tx_total={total_tx} tx_at_resume={tx_at_resume}"),
-        _inv("overflow-counted", rx_delta >= 0,
-             f"rx_overflow_delta={rx_delta} (stall backpressure is counted, "
-             "not silent)"),
+        inv("all-faults-fired",
+            counts.get("memory-spike", 0) == 2
+            and counts.get("me-crash", 0) == 1
+            and counts.get("pci-stall", 0) == 1,
+            f"counts={dict(sorted(counts.items()))}"),
+        inv("degradation-bounded", faulted.fast_tx >= 0.75 * baseline.fast_tx,
+            f"faulted={faulted.fast_tx} baseline={baseline.fast_tx}"),
+        inv("forwarding-resumes", total_tx > tx_at_resume,
+            f"tx_total={total_tx} tx_at_resume={tx_at_resume}"),
+        inv("overflow-counted", rx_delta >= 0,
+            f"rx_overflow_delta={rx_delta} (stall backpressure is counted, "
+            "not silent)"),
         _no_silent_corruption(faulted),
     ]
     return _result("memory-stress", seed, window, warmup, baseline, faulted,
@@ -526,8 +513,8 @@ def _scenario_i2o_storm(seed: int, window: int, warmup: int) -> CampaignResult:
     counts = faulted.injector.counts
     lost = faulted.router.to_pentium.messages_lost
     invariants = [
-        _inv("loss-accounted", lost == counts.get("i2o-loss", 0),
-             f"messages_lost={lost} i2o-loss={counts.get('i2o-loss', 0)}"),
+        inv("loss-accounted", lost == counts.get("i2o-loss", 0),
+            f"messages_lost={lost} i2o-loss={counts.get('i2o-loss', 0)}"),
         _within("fastpath-isolation", faulted.fast_tx, baseline.fast_tx),
         _bridge_conserved(faulted),
         _accounted_exceptional(faulted),

@@ -37,8 +37,8 @@ RULES: Dict[str, str] = {
               "outside the CLI/bench layer",
     "RPR103": "id() used as a sort key, dict key, or subscript index "
               "(iteration order would depend on allocation addresses)",
-    "RPR104": "json.dump(s) without sort_keys=True (reports must serialize "
-              "canonically)",
+    "RPR104": "json.dump(s) or export.dumps without sort_keys=True (reports "
+              "must serialize canonically)",
     "RPR201": "null-object parity gap: method invoked on a hook but missing "
               "from the Null implementation",
     "RPR202": "hot-path hook call not guarded by an .enabled check",

@@ -50,6 +50,13 @@ _WALLCLOCK_IMPORTS = {
     "secrets": None,  # every name in secrets is entropy
 }
 
+#: JSON serializers whose output must be canonical: ``json``'s own and
+#: the project's sanitizing ``repro.obs.export.dumps``, which forwards
+#: ``**kwargs`` to ``json.dumps`` and so hides its callers from the
+#: kwargs-forwarding exemption below.
+_JSON_SERIALIZERS = frozenset({"json.dump", "json.dumps", "export.dumps",
+                               "repro.obs.export.dumps"})
+
 #: Callables whose ``key=`` argument defines an ordering.
 _ORDERING_CALLS = frozenset({"sorted", "min", "max"})
 _ORDERING_METHODS = frozenset({"sort"})
@@ -141,7 +148,7 @@ def check_determinism(tree: ast.AST, source: str, path: str,
                     ))
 
         # -- RPR104: non-canonical JSON ----------------------------------------
-        if name in ("json.dump", "json.dumps"):
+        if name in _JSON_SERIALIZERS:
             forwards_kwargs = any(kw.arg is None for kw in node.keywords)
             sorted_keys = any(
                 kw.arg == "sort_keys"

@@ -30,6 +30,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.obs import export
 from repro.obs.recorder import Recorder
+from repro.verdict import Verdict, inv
 
 GREEN, YELLOW, RED = "green", "yellow", "red"
 _SEVERITY = {GREEN: 0, YELLOW: 1, RED: 2}
@@ -632,8 +633,9 @@ class HealthMonitor:
 
 
 @dataclass
-class MonitorResult:
-    """One monitored scenario run, JSON-ready."""
+class MonitorResult(Verdict):
+    """One monitored scenario run: each rule of the final evaluation is
+    an invariant that holds unless the rule is red."""
 
     scenario: str
     window_cycles: int
@@ -641,17 +643,21 @@ class MonitorResult:
     results: List[RuleResult] = field(default_factory=list)
 
     @property
+    def invariants(self) -> List[Dict[str, Any]]:
+        return [inv(r.rule, r.level != RED, r.detail) for r in self.results]
+
+    @property
     def incidents(self) -> List[Dict[str, Any]]:
         return self.monitor.incidents
 
-    def exit_code(self) -> int:
-        return self.monitor.exit_code()
+    def artifact(self) -> Dict[str, Any]:
+        return {**self.monitor.to_dict(), "scenario": self.scenario,
+                "window_cycles": self.window_cycles}
 
-    def to_json(self, indent: Optional[int] = None) -> str:
-        doc = dict(self.monitor.to_dict())
-        doc["scenario"] = self.scenario
-        doc["window_cycles"] = self.window_cycles
-        return export.dumps(doc, indent=indent)
+    def incident_log_json(self) -> str:
+        return export.dumps({"scenario": self.scenario,
+                             "incidents": self.incidents},
+                            indent=2, sort_keys=True)
 
 
 def monitor_scenario(name: str, window: int = 120_000, warmup: int = 20_000,

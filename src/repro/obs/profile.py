@@ -122,7 +122,7 @@ class ProfileResult:
         }
         if include_trace:
             doc["trace"] = self.trace
-        return export.dumps(doc, indent=indent)
+        return export.dumps(doc, indent=indent, sort_keys=True)
 
     def to_csv(self) -> str:
         """The raw trace as CSV (``cycle,component,event,packet_id,detail``)."""
@@ -133,7 +133,8 @@ class ProfileResult:
         ``chrome://tracing`` or https://ui.perfetto.dev."""
         from repro.obs.analysis import to_chrome_trace
 
-        return export.dumps(to_chrome_trace(self.events), indent=indent)
+        return export.dumps(to_chrome_trace(self.events), indent=indent,
+                            sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

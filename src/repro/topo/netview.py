@@ -34,6 +34,7 @@ from repro.obs.metrics import sampler_report
 from repro.topo.scenarios import (DEFAULT_WARMUP, DEFAULT_WINDOW, TopoResult,
                                   run_topo)
 from repro.topo.tracing import merged_chrome_trace
+from repro.verdict import Verdict, inv, invariant_table
 
 #: Incident kinds that make up the convergence timeline.
 _TIMELINE_KINDS = frozenset({"topo-link-down", "topo-link-up",
@@ -47,9 +48,11 @@ def instrument(topo) -> None:
     topo.enable_metrics()
 
 
-class NetviewResult:
+class NetviewResult(Verdict):
     """One scenario's network health report, built from the live
-    topology the scenario left behind."""
+    topology the scenario left behind.  Its gate: the scenario's
+    invariants plus the observability layer's own (exact hop sums,
+    valid merged trace)."""
 
     def __init__(self, result: TopoResult, top: int = 5):
         self.result = result
@@ -57,7 +60,18 @@ class NetviewResult:
         self.top = top
         self.hop_report = self.topo.tracer.hop_report(top_n=top)
         self.metrics_report = sampler_report(self.topo.metrics, top_n=top)
-        self.chrome_problems = validate_chrome_trace(self.chrome())
+        problems = validate_chrome_trace(self.chrome())
+        held = len(result.invariants) - len(result.violations)
+        self.invariants = [
+            inv("scenario-invariants", result.ok,
+                f"{held}/{len(result.invariants)} scenario invariants held"),
+            inv("hop-sums-exact", self.hop_report["exact"],
+                f"{self.hop_report['delivered']} delivered journeys, "
+                "per-hop segments sum exactly to host-to-host latency"),
+            inv("merged-chrome-valid", not problems,
+                f"{len(problems)} validator problems" if problems else
+                "merged multi-process trace passes the validator"),
+        ]
 
     @property
     def scenario(self) -> str:
@@ -66,29 +80,6 @@ class NetviewResult:
     @property
     def truncated(self) -> bool:
         return self.topo.trace_truncated
-
-    def invariants(self) -> List[Dict[str, Any]]:
-        """The netview gate: scenario invariants plus the observability
-        layer's own (exact hop sums, valid merged trace)."""
-        return [
-            {"name": "scenario-invariants", "ok": self.result.ok,
-             "detail": f"{sum(1 for i in self.result.invariants if i['ok'])}"
-                       f"/{len(self.result.invariants)} scenario invariants held"},
-            {"name": "hop-sums-exact", "ok": self.hop_report["exact"],
-             "detail": f"{self.hop_report['delivered']} delivered journeys, "
-                       "per-hop segments sum exactly to host-to-host latency"},
-            {"name": "merged-chrome-valid", "ok": not self.chrome_problems,
-             "detail": (f"{len(self.chrome_problems)} validator problems"
-                        if self.chrome_problems else
-                        "merged multi-process trace passes the validator")},
-        ]
-
-    @property
-    def ok(self) -> bool:
-        return all(inv["ok"] for inv in self.invariants())
-
-    def exit_code(self) -> int:
-        return 0 if self.ok else 1
 
     def convergence_timeline(self) -> List[Dict[str, Any]]:
         """Initial convergence plus every link down/up and reconvergence
@@ -119,7 +110,7 @@ class NetviewResult:
             "window_cycles": self.result.window_cycles,
             "warmup_cycles": self.result.warmup_cycles,
             "ok": self.ok,
-            "invariants": self.invariants(),
+            "invariants": self.invariants,
             "truncated": self.truncated,
             "trace_dropped_events": self.topo.trace_dropped_events,
             "tracing": self.hop_report,
@@ -134,8 +125,7 @@ class NetviewResult:
         }
 
     def to_json(self, indent: Optional[int] = 2) -> str:
-        return export.dumps(export.sanitize(self.artifact()), indent=indent,
-                            sort_keys=True)
+        return export.dumps(self.artifact(), indent=indent, sort_keys=True)
 
     def table(self) -> List[str]:
         """The human-readable report."""
@@ -177,12 +167,7 @@ class NetviewResult:
             lines.append(
                 f"WARNING: network trace truncated "
                 f"({self.topo.trace_dropped_events} spans ring-evicted)")
-        lines.append("| check | ok | detail |")
-        lines.append("|---|---|---|")
-        for inv in self.invariants():
-            mark = "PASS" if inv["ok"] else "FAIL"
-            lines.append(f"| {inv['name']} | {mark} | {inv['detail']} |")
-        return lines
+        return lines + invariant_table(self.invariants)
 
 
 def run_netview(name: str, seed: int = 0, window: int = DEFAULT_WINDOW,

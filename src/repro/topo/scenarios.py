@@ -30,6 +30,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs import export
 from repro.topo.network import LOGGED_KINDS, Topology
+from repro.verdict import Verdict, inv, invariant_table
 
 DEFAULT_WINDOW = 240_000
 DEFAULT_WARMUP = 20_000
@@ -78,20 +79,16 @@ def _start_flow(topo: Topology, src: str, dst: str, count: int, interval: int,
     return flow
 
 
-def _inv(name: str, ok: bool, detail: str) -> Dict[str, Any]:
-    return {"name": name, "ok": bool(ok), "detail": detail}
-
-
 def _accounted(topo: Topology, slack: int) -> Dict[str, Any]:
     acct = topo.accounting()
     # TTL-expired packets are consumed by the ICMP generator rather than
     # a drop counter; each one answered with a delivered error is
     # accounted through ``icmp_errors``.
     residual = acct["residual"] - acct["icmp_errors"]
-    return _inv("all-drops-accounted", 0 <= residual <= slack,
-                f"sent={acct['sent']} delivered={acct['delivered']} "
-                f"link_drops={acct['link_drops']} router_drops={acct['router_drops']} "
-                f"in_flight={acct['in_flight']} residual={residual} (slack {slack})")
+    return inv("all-drops-accounted", 0 <= residual <= slack,
+               f"sent={acct['sent']} delivered={acct['delivered']} "
+               f"link_drops={acct['link_drops']} router_drops={acct['router_drops']} "
+               f"in_flight={acct['in_flight']} residual={residual} (slack {slack})")
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +96,7 @@ def _accounted(topo: Topology, slack: int) -> Dict[str, Any]:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class TopoResult:
+class TopoResult(Verdict):
     scenario: str
     seed: int
     warmup_cycles: int
@@ -116,13 +113,6 @@ class TopoResult:
     #: the live topology (not serialized): netview reads its tracer /
     #: metrics / recorders after the run.
     topo: Optional[Topology] = field(default=None, repr=False, compare=False)
-
-    @property
-    def ok(self) -> bool:
-        return all(inv["ok"] for inv in self.invariants)
-
-    def exit_code(self) -> int:
-        return 0 if self.ok else 1
 
     def artifact(self) -> Dict[str, Any]:
         """The full deterministic artifact (determinism suite input)."""
@@ -155,10 +145,7 @@ class TopoResult:
 
     def table(self) -> List[str]:
         lines = [f"## topo {self.scenario} (seed {self.seed})",
-                 "| invariant | ok | detail |", "|---|---|---|"]
-        for inv in self.invariants:
-            mark = "PASS" if inv["ok"] else "FAIL"
-            lines.append(f"| {inv['name']} | {mark} | {inv['detail']} |")
+                 *invariant_table(self.invariants)]
         acct = self.accounting
         lines.append(
             f"converged in {self.converge_cycles} cycles; "
@@ -236,31 +223,31 @@ def _scenario_link_failure(seed: int, window: int, warmup: int,
     worst_detect = max((d["latency"] for d in detections), default=None)
     detect_bound = topo.dead_interval + topo.hello_interval + 1_000
     invariants = [
-        _inv("initial-convergence", converge_cycles <= CONVERGE_HORIZON,
-             f"{converge_cycles} cycles (horizon {CONVERGE_HORIZON})"),
-        _inv("pre-failure-delivery", marks.get("delivered_at_fail", 0) > 0,
-             f"{marks.get('delivered_at_fail', 0)} packets delivered before "
-             f"the failure at cycle {fail_at}"),
-        _inv("failure-detected-by-hellos",
-             len(detections) >= 2
-             and worst_detect is not None and worst_detect <= detect_bound,
-             f"{len(detections)} endpoint detections, worst latency "
-             f"{worst_detect} cycles (bound {detect_bound} = dead "
-             f"{topo.dead_interval} + hello {topo.hello_interval} + slack)"),
-        _inv("reconverged-within-horizon",
-             reconv is not None and reconv <= RECONVERGE_HORIZON,
-             f"reconvergence took {reconv} cycles (horizon {RECONVERGE_HORIZON})"),
-        _inv("rerouted-to-alternate-path",
-             alt.counts["carried_data"] > marks.get("alt_carried_at_fail", 0),
-             f"r1--r4 carried {alt.counts['carried_data']} data frames "
-             f"(was {marks.get('alt_carried_at_fail', 0)} at failure)"),
-        _inv("post-failure-delivery",
-             h3.received > marks.get("delivered_at_fail", 0),
-             f"{h3.received} total vs {marks.get('delivered_at_fail', 0)} at failure"),
-        _inv("loss-bounded", 0 <= lost <= loss_bound,
-             f"lost {lost} of {count} forward packets (bound {loss_bound})"),
-        _inv("reverse-flow-survives", h1.received_by_flow.get(rev, 0) > 0,
-             f"{h1.received_by_flow.get(rev, 0)} reverse packets delivered"),
+        inv("initial-convergence", converge_cycles <= CONVERGE_HORIZON,
+            f"{converge_cycles} cycles (horizon {CONVERGE_HORIZON})"),
+        inv("pre-failure-delivery", marks.get("delivered_at_fail", 0) > 0,
+            f"{marks.get('delivered_at_fail', 0)} packets delivered before "
+            f"the failure at cycle {fail_at}"),
+        inv("failure-detected-by-hellos",
+            len(detections) >= 2
+            and worst_detect is not None and worst_detect <= detect_bound,
+            f"{len(detections)} endpoint detections, worst latency "
+            f"{worst_detect} cycles (bound {detect_bound} = dead "
+            f"{topo.dead_interval} + hello {topo.hello_interval} + slack)"),
+        inv("reconverged-within-horizon",
+            reconv is not None and reconv <= RECONVERGE_HORIZON,
+            f"reconvergence took {reconv} cycles (horizon {RECONVERGE_HORIZON})"),
+        inv("rerouted-to-alternate-path",
+            alt.counts["carried_data"] > marks.get("alt_carried_at_fail", 0),
+            f"r1--r4 carried {alt.counts['carried_data']} data frames "
+            f"(was {marks.get('alt_carried_at_fail', 0)} at failure)"),
+        inv("post-failure-delivery",
+            h3.received > marks.get("delivered_at_fail", 0),
+            f"{h3.received} total vs {marks.get('delivered_at_fail', 0)} at failure"),
+        inv("loss-bounded", 0 <= lost <= loss_bound,
+            f"lost {lost} of {count} forward packets (bound {loss_bound})"),
+        inv("reverse-flow-survives", h1.received_by_flow.get(rev, 0) > 0,
+            f"{h1.received_by_flow.get(rev, 0)} reverse packets delivered"),
         _accounted(topo, slack=4),
     ]
     return _result("link-failure", seed, window, warmup, topo,
@@ -336,29 +323,29 @@ def _scenario_route_churn(seed: int, window: int, warmup: int,
     expected_logged = sum(topo.fault_counts.get(k, 0) for k in LOGGED_KINDS)
 
     invariants = [
-        _inv("initial-convergence", converge_cycles <= CONVERGE_HORIZON,
-             f"{converge_cycles} cycles (horizon {CONVERGE_HORIZON})"),
-        _inv("flaps-completed",
-             topo.fault_counts.get("topo-link-down", 0) == CHURN_FLAPS
-             and topo.fault_counts.get("topo-link-up", 0) == CHURN_FLAPS,
-             f"{topo.fault_counts.get('topo-link-down', 0)} downs / "
-             f"{topo.fault_counts.get('topo-link-up', 0)} ups of {CHURN_FLAPS} flaps"),
-        _inv("reconverged-after-every-event",
-             len(topo.reconvergences) == 2 * CHURN_FLAPS
-             and worst_reconv is not None and worst_reconv <= RECONVERGE_HORIZON,
-             f"{len(topo.reconvergences)} episodes, worst {worst_reconv} cycles"),
-        _inv("spf-storm-bounded", spf_growth <= spf_bound,
-             f"worst node ran {spf_growth} extra SPFs (bound {spf_bound})"),
-        _inv("lsa-flood-bounded", messages <= message_bound,
-             f"{messages} control messages during churn (bound {message_bound})"),
-        _inv("routes-restored-to-primary",
-             route is not None and route[1] == primary_port,
-             f"r1 route to {h3_prefix[0]}/24 is {route} "
-             f"(primary port {primary_port})"),
-        _inv("delivery-maintained", lost <= loss_bound,
-             f"lost {lost} of {count} (bound {loss_bound})"),
-        _inv("incident-log-complete", len(logged) == expected_logged,
-             f"{len(logged)} logged incidents vs {expected_logged} counted"),
+        inv("initial-convergence", converge_cycles <= CONVERGE_HORIZON,
+            f"{converge_cycles} cycles (horizon {CONVERGE_HORIZON})"),
+        inv("flaps-completed",
+            topo.fault_counts.get("topo-link-down", 0) == CHURN_FLAPS
+            and topo.fault_counts.get("topo-link-up", 0) == CHURN_FLAPS,
+            f"{topo.fault_counts.get('topo-link-down', 0)} downs / "
+            f"{topo.fault_counts.get('topo-link-up', 0)} ups of {CHURN_FLAPS} flaps"),
+        inv("reconverged-after-every-event",
+            len(topo.reconvergences) == 2 * CHURN_FLAPS
+            and worst_reconv is not None and worst_reconv <= RECONVERGE_HORIZON,
+            f"{len(topo.reconvergences)} episodes, worst {worst_reconv} cycles"),
+        inv("spf-storm-bounded", spf_growth <= spf_bound,
+            f"worst node ran {spf_growth} extra SPFs (bound {spf_bound})"),
+        inv("lsa-flood-bounded", messages <= message_bound,
+            f"{messages} control messages during churn (bound {message_bound})"),
+        inv("routes-restored-to-primary",
+            route is not None and route[1] == primary_port,
+            f"r1 route to {h3_prefix[0]}/24 is {route} "
+            f"(primary port {primary_port})"),
+        inv("delivery-maintained", lost <= loss_bound,
+            f"lost {lost} of {count} (bound {loss_bound})"),
+        inv("incident-log-complete", len(logged) == expected_logged,
+            f"{len(logged)} logged incidents vs {expected_logged} counted"),
         _accounted(topo, slack=6),
     ]
     return _result("route-churn", seed, window, warmup, topo,
@@ -412,19 +399,19 @@ def _scenario_congestion(seed: int, window: int, warmup: int,
     ser = bottleneck.serialization_cycles(64)
     capacity = (warmup + window) // ser + 8
     invariants = [
-        _inv("initial-convergence", converge_cycles <= CONVERGE_HORIZON,
-             f"{converge_cycles} cycles (horizon {CONVERGE_HORIZON})"),
-        _inv("collapse-observed", overflow >= 20,
-             f"bottleneck queue overflowed {overflow} data frames "
-             f"(queue_limit {BOTTLENECK_QUEUE})"),
-        _inv("goodput-capped-by-capacity", hc.received <= capacity,
-             f"{hc.received} delivered through a {capacity}-frame capacity"),
-        _inv("no-starvation",
-             hc.received_by_flow.get(flow_a, 0) > 0
-             and hc.received_by_flow.get(flow_b, 0) > 0,
-             f"per-flow goodput {dict(sorted(hc.received_by_flow.items()))}"),
-        _inv("disjoint-flow-isolated", hf.received >= he.sent - 2,
-             f"control flow delivered {hf.received} of {he.sent}"),
+        inv("initial-convergence", converge_cycles <= CONVERGE_HORIZON,
+            f"{converge_cycles} cycles (horizon {CONVERGE_HORIZON})"),
+        inv("collapse-observed", overflow >= 20,
+            f"bottleneck queue overflowed {overflow} data frames "
+            f"(queue_limit {BOTTLENECK_QUEUE})"),
+        inv("goodput-capped-by-capacity", hc.received <= capacity,
+            f"{hc.received} delivered through a {capacity}-frame capacity"),
+        inv("no-starvation",
+            hc.received_by_flow.get(flow_a, 0) > 0
+            and hc.received_by_flow.get(flow_b, 0) > 0,
+            f"per-flow goodput {dict(sorted(hc.received_by_flow.items()))}"),
+        inv("disjoint-flow-isolated", hf.received >= he.sent - 2,
+            f"control flow delivered {hf.received} of {he.sent}"),
         _accounted(topo, slack=8),
     ]
     return _result("congestion-collapse", seed, window, warmup, topo,

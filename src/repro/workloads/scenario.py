@@ -19,7 +19,8 @@ numbers trustworthy:
   agrees with the reference on the withdrawn destinations (no stale
   blackhole answers) and the route cache was invalidated exactly once.
 
-``WorkloadResult.exit_code()`` is what the CLI exits with.
+``WorkloadResult`` is a :class:`repro.verdict.Verdict` over every
+backend's checks; its exit code is the CLI's.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.net.addresses import IPv4Address
 from repro.net.routing import MEMORY_PROBE_CYCLES, RouteCache
+from repro.verdict import Verdict, inv
 from repro.workloads.generators import flash_crowd, scan_addresses, zipf_addresses
 from repro.workloads.tables import bgp_prefixes, build_table, destinations_for
 
@@ -115,26 +117,19 @@ class BackendReport:
 
 
 @dataclass
-class WorkloadResult:
+class WorkloadResult(Verdict):
     prefixes: int
     probes: int
     seed: int
     zipf_s: float
     reports: List[BackendReport] = field(default_factory=list)
+    label = "workloads"
 
     @property
-    def ok(self) -> bool:
-        return bool(self.reports) and all(r.ok for r in self.reports)
-
-    def exit_code(self) -> int:
-        return 0 if self.ok else 1
-
-    def failures(self) -> List[str]:
-        out = []
-        for r in self.reports:
-            out.extend(f"{r.backend}:{name}" for name, passed in r.checks.items()
-                       if not passed)
-        return out
+    def invariants(self) -> List[Dict[str, object]]:
+        """One invariant per backend check, named ``backend:check``."""
+        return [inv(f"{r.backend}:{name}", passed, "")
+                for r in self.reports for name, passed in r.checks.items()]
 
     def table(self) -> List[str]:
         header = (f"{'backend':<14} {'build s':>8} {'zipf hit%':>10} "
@@ -160,7 +155,7 @@ class WorkloadResult:
             "zipf_s": self.zipf_s,
             "backends": [r.as_dict() for r in self.reports],
             "ok": self.ok,
-            "failures": self.failures(),
+            "failures": self.violations,
         }
 
 

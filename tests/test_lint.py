@@ -155,6 +155,23 @@ def test_rpr104_clean_and_kwargs_forwarding():
         """)
 
 
+def test_rpr104_export_dumps_without_sort_keys():
+    """``export.dumps`` forwards ``**kwargs`` to ``json.dumps``, so its
+    callers are the ones that must ask for canonical output."""
+    v = one("from repro.obs import export\n\n"
+            "payload = export.dumps({'b': 1, 'a': 2}, indent=2)\n")
+    assert (v.code, v.line) == ("RPR104", 3)
+
+
+def test_rpr104_clean_export_dumps():
+    clean("""\
+        from repro.obs import export
+
+        def render(doc):
+            return export.dumps(doc, indent=2, sort_keys=True)
+        """)
+
+
 # ---------------------------------------------------------------------------
 # RPR2xx null-object parity
 # ---------------------------------------------------------------------------

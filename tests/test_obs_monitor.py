@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro.obs import export
 from repro.obs.monitor import (
     GREEN,
     RED,
@@ -195,7 +196,7 @@ def test_monitor_scenario_healthy_router_is_green():
     table = result.monitor.health_table()
     for rule in default_rules():
         assert rule.name in table
-    doc = json.loads(result.to_json())
+    doc = json.loads(export.dumps(result.artifact(), sort_keys=True))
     assert doc["scenario"] == "router" and len(doc["results"]) == 5
 
 

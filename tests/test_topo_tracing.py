@@ -98,7 +98,7 @@ def test_trace_ids_share_the_global_space(link_failure):
 
 def test_every_scenario_gate_holds(views):
     for name, view in views.items():
-        assert view.ok, (name, [i for i in view.invariants() if not i["ok"]])
+        assert view.ok, (name, [i for i in view.invariants if not i["ok"]])
 
 
 def test_drop_or_delivery_accounted_for_every_trace(views):
@@ -233,7 +233,7 @@ def test_traced_run_preserves_packet_outcomes(bare_link_failure, link_failure):
 
 
 def test_netview_invariants_and_table(link_failure):
-    names = [inv["name"] for inv in link_failure.invariants()]
+    names = [inv["name"] for inv in link_failure.invariants]
     assert names == ["scenario-invariants", "hop-sums-exact",
                      "merged-chrome-valid"]
     assert link_failure.exit_code() == 0

@@ -160,7 +160,7 @@ def test_build_table_loads_all_routes_on_both_backends():
 def test_run_workloads_invariants_hold():
     result = run_workloads(prefixes=3_000, probes=3_000, seed=SEED,
                            sample=400, linear_sample=6, withdraw_sample=64)
-    assert result.ok, result.failures()
+    assert result.ok, result.violations
     assert result.exit_code() == 0
     assert {r.backend for r in result.reports} == {"cpe", "bidirectional"}
     for r in result.reports:
@@ -198,7 +198,7 @@ def test_million_prefix_acceptance():
     result = run_workloads(prefixes=1_000_000, probes=100_000, seed=7,
                            backends=("cpe",), sample=600, linear_sample=3,
                            withdraw_sample=128)
-    assert result.ok, result.failures()
+    assert result.ok, result.violations
     report = result.reports[0]
     assert report.prefixes == 1_000_000
     assert report.phase("zipf").probes == 100_000
