@@ -183,15 +183,16 @@ class QueueBank:
 
     def select_queue(self, out_port: int) -> Optional[PacketQueue]:
         """The output scheduler: drain queues in priority order (the
-        paper's implemented policy)."""
-        for queue in sorted(self._by_port[out_port], key=lambda q: q.priority):
+        paper's implemented policy).  ``__init__`` builds each port's
+        list in that order."""
+        for queue in self._by_port[out_port]:
             if queue.peek_ready():
                 return queue
         return None
 
     def select_via_bits(self, out_port: int) -> Optional[PacketQueue]:
         """O.3: consult the readiness bit-array first, then the queue."""
-        for queue in sorted(self._by_port[out_port], key=lambda q: q.priority):
+        for queue in self._by_port[out_port]:
             if self.ready_bits[queue.queue_id] and queue.peek_ready():
                 return queue
         return None

@@ -16,6 +16,11 @@ class IPv4Address:
     __slots__ = ("value",)
 
     def __init__(self, value: Union[int, str, "IPv4Address"]):
+        # Exact ints first: generators and lookup probes build addresses
+        # from ints; bools and other int subclasses take the chain below.
+        if type(value) is int and 0 <= value <= 0xFFFFFFFF:
+            self.value = value
+            return
         if isinstance(value, IPv4Address):
             self.value = value.value
             return

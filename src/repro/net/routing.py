@@ -117,16 +117,17 @@ class BaseRoutingTable:
         return list(self._routes.values())
 
     @staticmethod
-    def _key(prefix: IPv4Address, length: int) -> Tuple[int, int]:
+    def _key(value: int, length: int) -> Tuple[int, int]:
         """Masked key: two spellings of the same covering prefix are one
-        logical route."""
-        if length == 0:
-            return (0, 0)
-        mask = 0xFFFFFFFF << (32 - length) & 0xFFFFFFFF
-        return (prefix.value & mask, length)
+        logical route.  Every mutation and query validates the length
+        here."""
+        if not 0 <= length <= 32:
+            raise ValueError(f"bad prefix length {length}")
+        shift = 32 - length
+        return (value >> shift << shift, length)
 
     def has(self, prefix: str, length: int) -> bool:
-        return self._key(IPv4Address(prefix), length) in self._routes
+        return self._key(IPv4Address(prefix).value, length) in self._routes
 
     def _touch(self) -> None:
         if self._bulk_depth:
@@ -161,19 +162,14 @@ class BaseRoutingTable:
 
     def add(self, prefix: str, length: int, out_port: int,
             next_hop_mac: Optional[MACAddress] = None) -> Route:
-        if not 0 <= length <= 32:
-            raise ValueError(f"bad prefix length {length}")
-        route = Route(
-            prefix=IPv4Address(prefix),
-            length=length,
-            next_hop_mac=next_hop_mac or MACAddress.for_port(out_port),
-            out_port=out_port,
-        )
+        addr = IPv4Address(prefix)
+        key = self._key(addr.value, length)
+        route = Route(addr, length, next_hop_mac or MACAddress.for_port(out_port),
+                      out_port)
         # Re-adding an existing (prefix, length) is a *reprogram* -- the
         # control plane does this on every reconvergence -- so the old
         # entry must go, or the fast structure and the linear reference
         # would disagree about which Route wins.
-        key = self._key(route.prefix, length)
         replacing = key in self._routes
         self._routes[key] = route
         self._insert(route, replacing)
@@ -196,7 +192,7 @@ class BaseRoutingTable:
     def remove(self, prefix: str, length: int) -> Route:
         """Withdraw a route (control-plane route withdrawal).  Raises
         ``KeyError`` when no such (prefix, length) is installed."""
-        key = self._key(IPv4Address(prefix), length)
+        key = self._key(IPv4Address(prefix).value, length)
         if key not in self._routes:
             raise KeyError(f"no route {prefix}/{length}")
         route = self._routes.pop(key)
@@ -239,11 +235,16 @@ class BaseRoutingTable:
 
     def lookup_linear(self, addr: IPv4Address) -> Optional[Route]:
         """Reference longest-prefix match by linear scan (used by property
-        tests to validate the fast structures)."""
+        tests to validate the fast structures): the longest route whose
+        prefix agrees with ``addr`` on its top ``length`` bits
+        (:meth:`Route.matches`, on the ints)."""
+        value = addr.value
         best: Optional[Route] = None
+        best_length = -1
         for route in self._routes.values():
-            if route.matches(addr) and (best is None or route.length > best.length):
-                best = route
+            length = route.length
+            if length > best_length and (value ^ route.prefix.value) >> (32 - length) == 0:
+                best, best_length = route, length
         return best
 
     def lookup_reference(self, addr: IPv4Address) -> Optional[Route]:
@@ -307,43 +308,45 @@ class RoutingTable(BaseRoutingTable):
         self._root = _TrieNode(1 << self.strides[0])
 
     def _insert(self, route: Route, replacing: bool) -> None:
-        """Controlled prefix expansion: expand the prefix to stride
-        boundaries, overriding only strictly-shorter existing entries."""
-        self._insert_level(self._root, route, level=0, bits_consumed=0)
-
-    def _insert_level(self, node: _TrieNode, route: Route, level: int, bits_consumed: int) -> None:
-        stride = self.strides[level]
-        boundary = bits_consumed + stride
-        if route.length <= boundary:
-            # Expand within this node: all slots whose top bits match.
-            span_bits = route.length - bits_consumed
-            if span_bits <= 0:
-                base, count = 0, 1 << stride
-            else:
-                base = route.prefix.prefix_bits(route.length) & ((1 << span_bits) - 1)
-                base <<= stride - span_bits
-                count = 1 << (stride - span_bits)
-            for slot in range(base, base + count):
-                existing = node.entries[slot]
-                if existing is None or existing.length <= route.length:
-                    node.entries[slot] = route
-                # Deeper levels inherit via the lookup fallback; but an
-                # existing child subtree must also see this route where it
-                # has no better entry.
-                child = node.children[slot]
-                if child is not None:
-                    self._push_down(child, route, level + 1)
-        else:
-            slot = route.prefix.prefix_bits(boundary) & ((1 << stride) - 1)
+        """Controlled prefix expansion: descend to the level whose stride
+        boundary covers the prefix (creating nodes on the way), then
+        expand the prefix across that node's matching slots, overriding
+        only strictly-shorter existing entries."""
+        value, length = route.prefix.value, route.length
+        strides = self.strides
+        node = self._root
+        level = bits_consumed = 0
+        stride = strides[0]
+        while length > bits_consumed + stride:
+            bits_consumed += stride
+            slot = (value >> (32 - bits_consumed)) & ((1 << stride) - 1)
             child = node.children[slot]
             if child is None:
-                child = _TrieNode(1 << self.strides[level + 1])
+                child = _TrieNode(1 << strides[level + 1])
                 # Seed the child with the covering route from this slot.
                 covering = node.entries[slot]
                 if covering is not None:
                     self._push_down(child, covering, level + 1)
                 node.children[slot] = child
-            self._insert_level(child, route, level + 1, boundary)
+            node = child
+            level += 1
+            stride = strides[level]
+        # Expand within this node: all slots whose top bits match (every
+        # slot of the root for a /0).
+        span_bits = length - bits_consumed
+        base = ((value >> (32 - length)) & ((1 << span_bits) - 1)) << (stride - span_bits)
+        count = 1 << (stride - span_bits)
+        entries, children = node.entries, node.children
+        for slot in range(base, base + count):
+            existing = entries[slot]
+            if existing is None or existing.length <= length:
+                entries[slot] = route
+            # Deeper levels inherit via the lookup fallback; but an
+            # existing child subtree must also see this route where it
+            # has no better entry.
+            child = children[slot]
+            if child is not None:
+                self._push_down(child, route, level + 1)
 
     def _push_down(self, node: _TrieNode, route: Route, level: int) -> None:
         for slot in range(len(node.entries)):
@@ -364,21 +367,21 @@ class RoutingTable(BaseRoutingTable):
 
     def lookup(self, addr: IPv4Address) -> Optional[Route]:
         """CPE trie lookup: at most ``len(strides)`` node probes."""
+        value = addr.value
         node = self._root
-        bits_consumed = 0
         best: Optional[Route] = None
         probes = 0
+        shift = 32
         for stride in self.strides:
-            bits_consumed += stride
+            shift -= stride
             probes += 1
-            slot = addr.prefix_bits(bits_consumed) & ((1 << stride) - 1)
+            slot = (value >> shift) & ((1 << stride) - 1)
             entry = node.entries[slot]
             if entry is not None:
                 best = entry
-            child = node.children[slot]
-            if child is None:
+            node = node.children[slot]
+            if node is None:
                 break
-            node = child
         self.lookups += 1
         self.probes += probes
         return best
@@ -409,30 +412,29 @@ class BidirectionalTable(BaseRoutingTable):
         self._long: Dict[int, Tuple[Tuple[int, ...], Dict[int, Dict[int, Route]]]] = {}
 
     def _insert(self, route: Route, replacing: bool) -> None:
-        if route.length <= self.SPLIT:
-            span = route.length
-            if span == 0:
-                base, count = 0, 1 << self.SPLIT
-            else:
-                base = route.prefix.prefix_bits(span) << (self.SPLIT - span)
-                count = 1 << (self.SPLIT - span)
+        value, length = route.prefix.value, route.length
+        split = self.SPLIT
+        if length <= split:
+            # Expand across the 2^(split - length) short-stage slots the
+            # prefix covers (all of them for a /0).
+            base = value >> (32 - length) << (split - length)
             short = self._short
-            for slot in range(base, base + count):
+            for slot in range(base, base + (1 << (split - length))):
                 existing = short[slot]
-                if existing is None or existing.length <= route.length:
+                if existing is None or existing.length <= length:
                     short[slot] = route
             return
-        top = route.prefix.prefix_bits(self.SPLIT)
+        top = value >> (32 - split)
         entry = self._long.get(top)
         if entry is None:
             by_len: Dict[int, Dict[int, Route]] = {}
-            self._long[top] = ((route.length,), by_len)
+            self._long[top] = ((length,), by_len)
         else:
             lengths, by_len = entry
-            if route.length not in by_len:
-                self._long[top] = (tuple(sorted(set(lengths) | {route.length},
+            if length not in by_len:
+                self._long[top] = (tuple(sorted(set(lengths) | {length},
                                                 reverse=True)), by_len)
-        by_len.setdefault(route.length, {})[route.prefix.prefix_bits(route.length)] = route
+        by_len.setdefault(length, {})[value >> (32 - length)] = route
 
     def _withdraw(self, route: Route) -> None:
         if route.length <= self.SPLIT:
@@ -440,17 +442,18 @@ class BidirectionalTable(BaseRoutingTable):
             # fall back to the batched rebuild.
             super()._withdraw(route)
             return
-        top = route.prefix.prefix_bits(self.SPLIT)
+        value, length = route.prefix.value, route.length
+        top = value >> (32 - self.SPLIT)
         entry = self._long.get(top)
         if entry is None:
             return
         lengths, by_len = entry
-        stage = by_len.get(route.length)
+        stage = by_len.get(length)
         if stage is None:
             return
-        stage.pop(route.prefix.prefix_bits(route.length), None)
+        stage.pop(value >> (32 - length), None)
         if not stage:
-            del by_len[route.length]
+            del by_len[length]
             if not by_len:
                 del self._long[top]
             else:
@@ -461,20 +464,22 @@ class BidirectionalTable(BaseRoutingTable):
         return 2 + (32 - self.SPLIT)
 
     def lookup(self, addr: IPv4Address) -> Optional[Route]:
+        value = addr.value
         self.lookups += 1
         probes = 1  # block-directory probe
         best: Optional[Route] = None
-        entry = self._long.get(addr.prefix_bits(self.SPLIT))
+        top = value >> (32 - self.SPLIT)
+        entry = self._long.get(top)
         if entry is not None:
             lengths, by_len = entry
             for length in lengths:
                 probes += 1
-                best = by_len[length].get(addr.prefix_bits(length))
+                best = by_len[length].get(value >> (32 - length))
                 if best is not None:
                     break
         if best is None:
             probes += 1
-            best = self._short[addr.prefix_bits(self.SPLIT)]
+            best = self._short[top]
         self.probes += probes
         return best
 
@@ -497,10 +502,14 @@ def make_routing_table(backend: str = "cpe", **kwargs) -> BaseRoutingTable:
     return cls(**kwargs)
 
 
+#: Knuth's multiplicative-hash constant (2^32 / golden ratio).
+_HASH_MULTIPLIER = 2654435761
+
+
 def hardware_hash(value: int, bits: int = 16) -> int:
     """Model of the IXP1200's one-cycle hardware hash unit: a Knuth-style
     multiplicative hash reduced to ``bits`` bits."""
-    return ((value * 2654435761) & 0xFFFFFFFF) >> (32 - bits)
+    return ((value * _HASH_MULTIPLIER) & 0xFFFFFFFF) >> (32 - bits)
 
 
 class RouteCache:
@@ -517,13 +526,17 @@ class RouteCache:
     slot is a miss now, so hit/miss counts are unchanged.  The clear is
     in-place -- bulk route programming fires the listener once and costs
     one slot sweep, not one reallocation per installed route.
+
+    Slots hold ``(address value, route)``; a probe's slot is
+    ``hardware_hash(value, size_bits)``, inlined.
     """
 
     def __init__(self, table: BaseRoutingTable, size_bits: int = 10):
         self.table = table
         self.size_bits = size_bits
         self.size = 1 << size_bits
-        self._slots: List[Optional[Tuple[IPv4Address, Route]]] = [None] * self.size
+        self._hash_shift = 32 - size_bits
+        self._slots: List[Optional[Tuple[int, Route]]] = [None] * self.size
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -531,8 +544,9 @@ class RouteCache:
 
     def lookup(self, addr: IPv4Address) -> Optional[Route]:
         """Fast-path lookup; ``None`` means miss (exceptional packet)."""
-        entry = self._slots[hardware_hash(addr.value, self.size_bits)]
-        if entry is not None and entry[0] == addr:
+        value = addr.value
+        entry = self._slots[((value * _HASH_MULTIPLIER) & 0xFFFFFFFF) >> self._hash_shift]
+        if entry is not None and entry[0] == value:
             self.hits += 1
             return entry[1]
         self.misses += 1
@@ -542,8 +556,9 @@ class RouteCache:
         """Slow-path fill: full table lookup plus cache insert."""
         route = self.table.lookup(addr)
         if route is not None:
-            slot = hardware_hash(addr.value, self.size_bits)
-            self._slots[slot] = (addr, route)
+            value = addr.value
+            self._slots[((value * _HASH_MULTIPLIER) & 0xFFFFFFFF) >> self._hash_shift] = (
+                value, route)
         return route
 
     def warm(self, addrs) -> None:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from itertools import accumulate
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.net.addresses import IPv4Address
 from repro.net.packet import Packet, make_tcp_packet
@@ -163,6 +163,31 @@ def heavy_tail_mix(
             active.pop()
 
 
+def _flash_crowd_draws(
+    count: int,
+    dests: Sequence[int],
+    hot: Optional[int],
+    peak: float,
+    s: float,
+    seed: int,
+) -> Iterator[Tuple[IPv4Address, int, int]]:
+    """Every draw a flash-crowd stream makes, in order: per packet its
+    destination and the two random octets of its 192.168/16 source."""
+    if not 0.0 <= peak <= 1.0:
+        raise ValueError(f"peak must be in [0, 1], got {peak}")
+    rng = random.Random(f"flash:{seed}")
+    sampler = ZipfSampler(len(dests), s)
+    order = _shuffled_ranks(dests, seed)
+    hot_value = IPv4Address(hot if hot is not None else dests[order[0]]).value
+    for i in range(count):
+        hot_share = peak * (i / max(1, count - 1))
+        if rng.random() < hot_share:
+            dst = IPv4Address(hot_value)
+        else:
+            dst = IPv4Address(dests[order[sampler.draw(rng)]])
+        yield dst, rng.randrange(256), rng.randrange(1, 255)
+
+
 def flash_crowd(
     count: int,
     dests: Sequence[int],
@@ -174,25 +199,29 @@ def flash_crowd(
 ) -> Iterator[Packet]:
     """Background Zipf traffic with a hot destination whose share ramps
     linearly from 0 to ``peak`` over the stream."""
-    if not 0.0 <= peak <= 1.0:
-        raise ValueError(f"peak must be in [0, 1], got {peak}")
-    rng = random.Random(f"flash:{seed}")
-    sampler = ZipfSampler(len(dests), s)
-    order = _shuffled_ranks(dests, seed)
-    hot_addr = str(IPv4Address(hot if hot is not None else dests[order[0]]))
-    for i in range(count):
-        hot_share = peak * (i / max(1, count - 1))
-        if rng.random() < hot_share:
-            dst = hot_addr
-        else:
-            dst = str(IPv4Address(dests[order[sampler.draw(rng)]]))
+    draws = _flash_crowd_draws(count, dests, hot, peak, s, seed)
+    for i, (dst, src_c, src_d) in enumerate(draws):
         yield make_tcp_packet(
-            src=f"192.168.{rng.randrange(256)}.{rng.randrange(1, 255)}",
+            src=f"192.168.{src_c}.{src_d}",
             dst=dst,
             src_port=1024 + (i % 50000),
             dst_port=80,
             payload=b"\x00" * payload_len,
         )
+
+
+def flash_crowd_addresses(
+    count: int,
+    dests: Sequence[int],
+    hot: Optional[int] = None,
+    peak: float = 0.8,
+    s: float = 1.1,
+    seed: int = 0,
+) -> Iterator[IPv4Address]:
+    """Bare-probe variant of :func:`flash_crowd`: the same draws, so the
+    same destinations, without building packets."""
+    for dst, __, ___ in _flash_crowd_draws(count, dests, hot, peak, s, seed):
+        yield dst
 
 
 def scan_storm(

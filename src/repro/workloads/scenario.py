@@ -33,7 +33,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.net.addresses import IPv4Address
 from repro.net.routing import MEMORY_PROBE_CYCLES, RouteCache
 from repro.verdict import Verdict, inv
-from repro.workloads.generators import flash_crowd, scan_addresses, zipf_addresses
+from repro.workloads.generators import (flash_crowd_addresses, scan_addresses,
+                                        zipf_addresses)
 from repro.workloads.tables import bgp_prefixes, build_table, destinations_for
 
 DEFAULT_BACKENDS: Tuple[str, ...] = ("cpe", "bidirectional")
@@ -164,15 +165,18 @@ def _run_phase(report: BackendReport, cache: RouteCache, name: str,
     """Push a probe stream through the cache, accounting every outcome."""
     stats = PhaseStats(name)
     hits0, misses0 = cache.hits, cache.misses
+    lookup, fill = cache.lookup, cache.fill
+    probes = resolved = unroutable = 0
     for addr in addrs:
-        stats.probes += 1
-        route = cache.lookup(addr)
+        probes += 1
+        route = lookup(addr)
         if route is None:
-            route = cache.fill(addr)
+            route = fill(addr)
         if route is None:
-            stats.unroutable += 1
+            unroutable += 1
         else:
-            stats.resolved += 1
+            resolved += 1
+    stats.probes, stats.resolved, stats.unroutable = probes, resolved, unroutable
     stats.hits = cache.hits - hits0
     stats.misses = cache.misses - misses0
     report.phases.append(stats)
@@ -219,7 +223,7 @@ def run_workloads(
         _run_phase(report, cache, "zipf",
                    zipf_addresses(probes, dests, s=zipf_s, seed=seed))
         _run_phase(report, cache, "flash_crowd",
-                   (p.ip.dst for p in flash_crowd(side_count, dests, seed=seed)))
+                   flash_crowd_addresses(side_count, dests, seed=seed))
         _run_phase(report, cache, "scan_storm",
                    scan_addresses(side_count, dests, seed=seed))
 

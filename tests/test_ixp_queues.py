@@ -136,3 +136,24 @@ def test_bank_totals():
     assert bank.total_enqueued == 1
     assert bank.total_dequeued == 1
     assert bank.total_dropped == 1
+
+
+VALID_DISCIPLINE_PAIRS = [
+    (inp, out) for inp in InputDiscipline for out in OutputDiscipline
+    if inp is InputDiscipline.PROTECTED or out is OutputDiscipline.MULTI_INDIRECT
+]
+
+
+@pytest.mark.parametrize("queues_per_port", [1, 2, 5, 16])
+@pytest.mark.parametrize(
+    "inp,out", VALID_DISCIPLINE_PAIRS,
+    ids=[f"{i.name}-{o.name}" for i, o in VALID_DISCIPLINE_PAIRS])
+def test_port_queues_are_built_in_priority_order(inp, out, queues_per_port):
+    """select_queue and select_via_bits walk each port's list as built,
+    so construction must leave it in non-decreasing priority order."""
+    bank = QueueBank(inp, out, num_ports=3, num_input_contexts=4,
+                     queues_per_port=queues_per_port)
+    for port in range(bank.num_ports):
+        queues = bank.queues_for_port(port)
+        assert queues
+        assert queues == sorted(queues, key=lambda q: q.priority)

@@ -40,6 +40,29 @@ def test_ipv4_rejects_wrong_type():
         IPv4Address(1.5)
 
 
+def test_ipv4_int_fast_path_keeps_the_checked_behaviour():
+    """Exact ints take a fast path; everything else behaves as the
+    isinstance chain always did."""
+    for value in (0, 1, 0x0A000001, 0xFFFFFFFF):
+        assert IPv4Address(value).value == value
+    # bool is an int subclass: the chain keeps it as given.
+    flag = IPv4Address(True)
+    assert flag.value is True
+    assert flag == IPv4Address(1) and hash(flag) == hash(IPv4Address(1))
+    assert str(flag) == "0.0.0.1"
+    for bad in (1 << 32, -1, True << 32):
+        with pytest.raises(ValueError, match="^IPv4 address out of range: "):
+            IPv4Address(bad)
+    with pytest.raises(ValueError, match=r"^bad IPv4 octet '256' in '1\.256\.3\.4'$"):
+        IPv4Address("1.256.3.4")
+    with pytest.raises(ValueError, match=r"^bad IPv4 address '1\.2\.3'$"):
+        IPv4Address("1.2.3")
+    original = IPv4Address("10.9.8.7")
+    copy = IPv4Address(original)
+    assert copy == original and copy is not original
+    assert type(copy.value) is int and copy.value == 0x0A090807
+
+
 def test_ipv4_prefix_bits():
     addr = IPv4Address("192.168.0.0")
     assert addr.prefix_bits(16) == (192 << 8) | 168

@@ -61,6 +61,26 @@ def test_bad_prefix_length_rejected():
         RoutingTable().add("1.2.3.4", 40, 0)
 
 
+@pytest.mark.parametrize("length", [33, -1])
+@pytest.mark.parametrize("backend", ["cpe", "bidirectional"])
+def test_every_entry_point_validates_prefix_length(backend, length):
+    """add, has, remove and discard reject a bad length with add's
+    message (remove used to fail on a negative shift or a KeyError, and
+    has answered False), and leave the table untouched."""
+    from repro.net import make_routing_table
+
+    table = make_routing_table(backend)
+    table.add("10.0.0.0", 8, 1)
+    for call in (lambda: table.add("10.0.0.0", length, 2),
+                 lambda: table.has("10.0.0.0", length),
+                 lambda: table.remove("10.0.0.0", length),
+                 lambda: table.discard("10.0.0.0", length)):
+        with pytest.raises(ValueError, match=f"^bad prefix length {length}$"):
+            call()
+    assert len(table) == 1 and table.generation == 1
+    assert table.lookup(IPv4Address("10.1.1.1")).out_port == 1
+
+
 def test_alternate_strides_agree():
     table_a = RoutingTable(strides=(16, 8, 8))
     table_b = RoutingTable(strides=(8, 8, 8, 8))
@@ -101,6 +121,77 @@ def test_trie_matches_linear_scan(routes, probes):
             assert trie is not None
             assert trie.matches(addr)
             assert trie.length == linear.length
+
+
+@pytest.mark.parametrize("size_bits", [1, 4, 8, 10, 16])
+def test_route_cache_slot_is_the_hardware_hash(size_bits):
+    """RouteCache inlines the hash: a filled value sits in slot
+    ``hardware_hash(value, size_bits)``, keyed on the int."""
+    table = RoutingTable()
+    table.add_default(1)
+    for value in (0, 1, 0x0A010203, 0x7FFFFFFF, 0xC0A80001, 0xFFFFFFFF):
+        cache = RouteCache(table, size_bits=size_bits)
+        route = cache.fill(IPv4Address(value))
+        filled = [i for i, entry in enumerate(cache._slots) if entry is not None]
+        assert filled == [hardware_hash(value, size_bits)]
+        assert cache._slots[filled[0]] == (value, route)
+        assert cache.lookup(IPv4Address(value)) is route
+        assert cache.hits == 1 and cache.misses == 0
+
+
+def _nested_specs():
+    """A default route plus prefixes nested inside one another, on both
+    sides of the bidirectional /16 split, with an unmasked spelling."""
+    return [("0.0.0.0", 0, 9), ("10.0.0.0", 8, 1), ("10.1.0.0", 16, 2),
+            ("10.1.2.0", 24, 3), ("10.1.2.128", 25, 4), ("10.1.2.3", 32, 5),
+            ("10.1.128.0", 17, 6), ("10.99.0.0", 12, 7),
+            ("192.168.7.99", 20, 8)]
+
+
+@pytest.mark.parametrize("backend", ["cpe", "bidirectional"])
+def test_linear_scan_matches_reference_on_nested_prefixes(backend):
+    """lookup_linear (masked ints in one loop) equals lookup_reference
+    and the public Route.matches definition, default route included."""
+    from repro.net import make_routing_table
+
+    table = make_routing_table(backend)
+    for spec in _nested_specs():
+        table.add(*spec)
+    values = [0, 0x0A000000, 0x0A010000, 0x0A010203, 0x0A010204, 0x0A010280,
+              0x0A0102FF, 0x0A018001, 0x0A630000, 0x0A6FFFFF, 0x0A700000,
+              0xC0A80701, 0xC0A80F01, 0xC0A81001, 0xFFFFFFFF]
+    for value in values:
+        addr = IPv4Address(value)
+        linear = table.lookup_linear(addr)
+        assert linear == table.lookup_reference(addr) == table.lookup(addr)
+        by_matches = [r for r in table.routes if r.matches(addr)]
+        assert linear.length == max(r.length for r in by_matches)
+        assert linear in by_matches
+    # Without the default route the scan answers None where nothing matches.
+    table.remove("0.0.0.0", 0)
+    assert table.lookup_linear(IPv4Address("8.8.8.8")) is None
+    assert table.lookup_reference(IPv4Address("8.8.8.8")) is None
+
+
+@pytest.mark.parametrize("backend", ["cpe", "bidirectional"])
+def test_trie_slots_match_prefix_bits(backend):
+    """The tries shift address values where they used to call
+    prefix_bits; a route keyed by its prefix_bits is found at every
+    length, including /0 and /32."""
+    from repro.net import make_routing_table
+
+    value = 0xC0A80B2D  # 192.168.11.45
+    addr = IPv4Address(value)
+    for length in range(33):
+        table = make_routing_table(backend)
+        prefix = IPv4Address(addr.prefix_bits(length) << (32 - length) if length else 0)
+        table.add(str(prefix), length, 3)
+        assert table.lookup(addr).length == length
+        # The neighbour that differs in the last prefix bit must miss.
+        if length:
+            other = IPv4Address(value ^ (1 << (32 - length)))
+            assert other.prefix_bits(length) != addr.prefix_bits(length)
+            assert table.lookup(other) is None
 
 
 def test_hardware_hash_range_and_determinism():

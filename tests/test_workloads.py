@@ -12,7 +12,8 @@ from repro.workloads import (bgp_prefixes, build_table, destinations_for,
                              flash_crowd, heavy_tail_mix, pareto_flow_sizes,
                              run_workloads, scan_storm, zipf_addresses,
                              zipf_flood)
-from repro.workloads.generators import ZipfSampler, scan_addresses
+from repro.workloads.generators import (ZipfSampler, flash_crowd_addresses,
+                                        scan_addresses)
 
 SEED = 11
 N = 4_000
@@ -138,6 +139,34 @@ def test_scan_storm_has_zero_locality():
     assert len({p.ip.dst.value for p in packets}) == 300  # no repeats
     assert list(a.value for a in scan_addresses(300, dests, seed=SEED)) == \
         [p.ip.dst.value for p in packets]
+
+
+@pytest.mark.parametrize("seed", [0, 3, SEED, 29])
+def test_flash_crowd_addresses_are_flash_crowd_destinations(seed):
+    """The bare-probe variant makes the same draws as the packet stream,
+    so it yields the same destinations in the same order."""
+    dests = _dests(300, seed=seed)
+    cases = [
+        {"count": 1},
+        {"count": 600},
+        {"count": 600, "hot": dests[17]},
+        {"count": 600, "hot": 0x0B000001},  # hot outside the population
+        {"count": 400, "peak": 0.0},
+        {"count": 400, "peak": 1.0},
+        {"count": 300, "s": 0.7},
+    ]
+    for case in cases:
+        kwargs = dict(case)
+        count = kwargs.pop("count")
+        bare = list(flash_crowd_addresses(count, dests, seed=seed, **kwargs))
+        packets = list(flash_crowd(count, dests, seed=seed, **kwargs))
+        assert len(bare) == count
+        assert bare == [p.ip.dst for p in packets], case
+    for bad_peak in (-0.1, 1.5):
+        with pytest.raises(ValueError):
+            list(flash_crowd_addresses(10, dests, peak=bad_peak))
+        with pytest.raises(ValueError):
+            list(flash_crowd(10, dests, peak=bad_peak))
 
 
 # ---------------------------------------------------------------------------
