@@ -21,6 +21,7 @@ from repro.chaos.schedule import FaultSpec, generate_schedule, schedule_to_json
 from repro.control.channel import DEFAULT_MAX_ATTEMPTS
 from repro.control.linkstate import ADJ_FULL
 from repro.topo.network import LOGGED_KINDS, Topology
+from repro.topo.scenarios import ring_with_primary
 from repro.verdict import Verdict, inv
 
 #: Campaign defaults: shorter than the scenario window (a campaign runs
@@ -42,22 +43,6 @@ QUIET_TAIL = 6_000
 
 RING_LINKS = ("r1--r2", "r2--r3", "r3--r4", "r4--r1")
 RING_ROUTERS = ("r1", "r2", "r3", "r4")
-
-
-def _build_ring(seed: int, ctrl_max_attempts: int) -> Topology:
-    """The scenario ring (see ``repro.topo.scenarios``) with a
-    configurable per-LSA retransmit budget -- campaigns lower it to
-    plant a deliberately fragile control plane for shrinker tests."""
-    topo = Topology(seed=seed, ctrl_max_attempts=ctrl_max_attempts)
-    for name in RING_ROUTERS:
-        topo.add_router(name)
-    topo.connect("r1", "r2", cost=1)
-    topo.connect("r2", "r3", cost=1)
-    topo.connect("r3", "r4", cost=2)
-    topo.connect("r4", "r1", cost=2)
-    topo.add_host("h1", "r1")
-    topo.add_host("h3", "r3")
-    return topo
 
 
 def _apply_fault(topo: Topology, spec: FaultSpec, warmup: int) -> None:
@@ -171,7 +156,7 @@ def run_trial(seed: int, trial: int,
         schedule = generate_schedule(seed, trial, RING_LINKS, RING_ROUTERS,
                                      window)
     schedule = list(schedule)
-    topo = _build_ring(seed, ctrl_max_attempts)
+    topo = ring_with_primary(seed, ctrl_max_attempts)
     topo.enable_observability()
     topo.enable_faults(seed)
     converge_cycles = topo.converge(max_cycles=CONVERGE_HORIZON)

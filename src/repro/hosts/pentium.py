@@ -160,8 +160,6 @@ class PentiumHost:
         if rec.enabled:
             rec.record(self.sim.now, "pentium", "pentium_in",
                        rec.packet_id(message.packet), message.body_bytes)
-        if message.packet is not None:
-            message.packet.meta["t_pentium"] = self.sim.now
 
         name = self.default_forwarder
         if message.flow_metadata:

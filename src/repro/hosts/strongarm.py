@@ -201,8 +201,6 @@ class StrongARM:
         # Packet headers are read directly from DRAM (the StrongARM's
         # privilege over the Pentium).
         yield from self.chip.dram.read(tag="sa.header")
-        if descriptor.packet is not None:
-            descriptor.packet.meta["t_strongarm"] = self.sim.now
         forwarder = self._forwarder_for(descriptor)
         rec = self.chip.recorder
         if rec.enabled:

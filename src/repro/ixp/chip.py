@@ -597,7 +597,6 @@ class IXP1200:
                        rec.packet_id(descriptor.packet), descriptor.out_port)
         if descriptor.packet is None:
             return
-        descriptor.packet.meta["t_transmitted"] = self.sim.now
         contents = self.pool.read(descriptor.handle)
         if contents is None:
             # Buffer reused before transmission: the packet is lost.

@@ -369,8 +369,6 @@ def input_loop(ctx: MicroContext, chip, source) -> Generator:
                 yield d_hash
                 if item.is_first:
                     item = chip.classify(item, ctx)
-                    if item.packet is not None:
-                        item.packet.meta["t_classified"] = ctx.sim.now
                 vrp = chip.vrp_for(item)
                 if vrp is not None:
                     yield from run_vrp(ctx, chip, vrp, item)
@@ -407,10 +405,7 @@ def input_loop(ctx: MicroContext, chip, source) -> Generator:
                             enqueue_cycle=sim.now,
                         )
                         pkt = item.packet
-                        priority = 0
-                        if pkt is not None:
-                            pkt.meta["t_enqueued"] = sim.now
-                            priority = pkt.meta.get("queue_priority", 0)
+                        priority = 0 if pkt is None else pkt.meta.get("queue_priority", 0)
                         queue = input_queue_for(
                             item.out_port, input_context=cid, priority=priority
                         )
@@ -481,8 +476,6 @@ def _enqueue(ctx: MicroContext, chip, item: WorkItem, handle: BufferHandle) -> G
         out_port=item.out_port,
         enqueue_cycle=ctx.sim.now,
     )
-    if item.packet is not None:
-        item.packet.meta["t_enqueued"] = ctx.sim.now
     if item.exceptional:
         yield from ctx.busy(cost.input_enqueue)
         yield from ctx.mem(chip.sram, "write", "enqueue.sa-entry")
@@ -490,9 +483,7 @@ def _enqueue(ctx: MicroContext, chip, item: WorkItem, handle: BufferHandle) -> G
         chip.enqueue_exceptional(descriptor, item)
         return
 
-    priority = 0
-    if item.packet is not None:
-        priority = item.packet.meta.get("queue_priority", 0)
+    priority = 0 if item.packet is None else item.packet.meta.get("queue_priority", 0)
     queue = chip.bank.input_queue_for(
         item.out_port, input_context=ctx.ctx_id, priority=priority
     )

@@ -34,23 +34,32 @@ class TraceRecord:
         return Packet.from_bytes(self.frame, arrival_port=self.port)
 
 
+def _check_record(index: int, record: TraceRecord) -> None:
+    """Raise ValueError naming the first field ``_RECORD`` cannot hold."""
+    for field, value, top in (("timestamp", record.timestamp, (1 << 64) - 1),
+                              ("port", record.port, 0xFFFF),
+                              ("frame length", len(record.frame), 0xFFFF)):
+        if not 0 <= value <= top:
+            raise ValueError(f"trace record {index}: {field} {value} outside 0..{top}")
+
+
 def save_trace(path_or_file: Union[str, BinaryIO], records: Iterable[TraceRecord]) -> int:
-    """Write records; returns the count."""
+    """Write records; returns the count.  Every record is checked before
+    anything is written, so a bad one leaves no partial trace behind."""
+    records = list(records)
+    for index, record in enumerate(records):
+        _check_record(index, record)
     own = isinstance(path_or_file, str)
     stream = open(path_or_file, "wb") if own else path_or_file
-    count = 0
     try:
         stream.write(_HEADER.pack(MAGIC, VERSION))
         for record in records:
-            if len(record.frame) > 0xFFFF:
-                raise ValueError("frame too large for trace format")
             stream.write(_RECORD.pack(record.timestamp, record.port, len(record.frame)))
             stream.write(record.frame)
-            count += 1
     finally:
         if own:
             stream.close()
-    return count
+    return len(records)
 
 
 def load_trace(path_or_file: Union[str, BinaryIO]) -> List[TraceRecord]:
@@ -84,7 +93,15 @@ def load_trace(path_or_file: Union[str, BinaryIO]) -> List[TraceRecord]:
 
 def replay(router, records: Iterable[TraceRecord], time_scale: float = 1.0) -> None:
     """Deliver a trace into a router at its recorded timing (scaled).
-    Spawns a process on the router's simulator; call before ``run``."""
+    Spawns a process on the router's simulator; call before ``run``.
+    Raises ValueError, spawning nothing, if a record names a port the
+    router does not have."""
+    records = list(records)
+    num_ports = len(router.ports)
+    for index, record in enumerate(records):
+        if not 0 <= record.port < num_ports:
+            raise ValueError(f"trace record {index}: port {record.port} is not "
+                             f"one of the router's {num_ports} ports")
     ordered = sorted(records, key=lambda r: r.timestamp)
 
     def player():

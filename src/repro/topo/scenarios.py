@@ -28,6 +28,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.control.channel import DEFAULT_MAX_ATTEMPTS
 from repro.obs import export
 from repro.topo.network import LOGGED_KINDS, Topology
 from repro.verdict import Verdict, inv, invariant_table
@@ -48,10 +49,13 @@ MONITOR_PERIOD = 40_000
 # Harness helpers.
 # ---------------------------------------------------------------------------
 
-def _ring_with_primary(seed: int) -> Topology:
+def ring_with_primary(seed: int,
+                      ctrl_max_attempts: int = DEFAULT_MAX_ATTEMPTS) -> Topology:
     """The scenario ring: r1-r2-r3 is the primary path (cost 2), r1-r4-r3
-    the alternate (cost 4); hosts h1 at r1 and h3 at r3."""
-    topo = Topology(seed=seed)
+    the alternate (cost 4); hosts h1 at r1 and h3 at r3.  The chaos
+    campaign runs its trials on it too, with its own per-LSA retransmit
+    budget."""
+    topo = Topology(seed=seed, ctrl_max_attempts=ctrl_max_attempts)
     for name in ("r1", "r2", "r3", "r4"):
         topo.add_router(name)
     topo.connect("r1", "r2", cost=1)
@@ -184,7 +188,7 @@ def _scenario_link_failure(seed: int, window: int, warmup: int,
                            instrument: Optional[Callable[[Topology], None]] = None
                            ) -> TopoResult:
     rng = random.Random(f"link-failure:{seed}")
-    topo = _ring_with_primary(seed)
+    topo = ring_with_primary(seed)
     _arm(topo, seed)
     if instrument is not None:
         instrument(topo)
@@ -265,7 +269,7 @@ def _scenario_route_churn(seed: int, window: int, warmup: int,
                           instrument: Optional[Callable[[Topology], None]] = None
                           ) -> TopoResult:
     rng = random.Random(f"route-churn:{seed}")
-    topo = _ring_with_primary(seed)
+    topo = ring_with_primary(seed)
     _arm(topo, seed)
     if instrument is not None:
         instrument(topo)

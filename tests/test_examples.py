@@ -6,10 +6,6 @@ import pathlib
 
 import pytest
 
-# Each example runs a full simulation; the whole module rides in the
-# nightly slow lane.
-pytestmark = pytest.mark.slow
-
 EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
 EXAMPLE_FILES = sorted(p.name for p in EXAMPLES_DIR.glob("*.py"))
 

@@ -193,6 +193,73 @@ def test_latency_report_on_real_router_scenario():
     assert "fastpath" in text and "critical path" in text
 
 
+def test_latency_report_on_empty_recorder():
+    report = latency_report(Recorder())
+    assert report["packets"] == 0 and report["paths"] == {}
+    assert report["queueing"]["overall"] is None
+    assert render_latency_table(report).startswith("packets traced: 0")
+
+
+def _in_order(names, wanted):
+    """True when ``wanted`` appears in ``names`` as an ordered subsequence."""
+    it = iter(names)
+    return all(w in it for w in wanted)
+
+
+def test_real_run_journeys_on_all_three_switching_paths():
+    """One traced router, three flows: a warm flow stays on the
+    MicroEngines, a cold flow's route-cache misses climb to the
+    StrongARM, and a flow bound to a Pentium forwarder crosses PCI and
+    back.  Each path's journeys carry that path's stations in order."""
+    from repro import Router
+    from repro.core.forwarder import ForwarderSpec, Where
+    from repro.net.traffic import flow_stream, take
+
+    router = Router()
+    for port in range(10):
+        router.add_route(f"10.{port}.0.0", 16, port)
+    recorder = router.enable_observability()
+    warm = take(flow_stream(5, out_port=1, payload_len=6), 5)
+    cold = take(flow_stream(5, src="192.168.3.3", src_port=7001,
+                            out_port=2, payload_len=6), 5)
+    pentium = take(flow_stream(20, src="192.168.2.2", src_port=6001,
+                               out_port=3, payload_len=6), 20)
+    router.install(pentium[0].flow_key(),
+                   ForwarderSpec(name="test-pe", where=Where.PE, cycles=1500,
+                                 expected_pps=50_000.0))
+    router.warm_route_cache([p.ip.dst for p in warm + pentium])
+    router.inject(0, iter(warm))
+    router.inject(1, iter(cold))
+    router.inject(2, iter(pentium))
+    router.run(2_000_000)
+
+    assert recorder.dropped_events == 0
+    by_path = {}
+    for journey in build_journeys(recorder.events).values():
+        by_path.setdefault(journey.path, []).append(journey)
+    assert set(by_path) == {"fastpath", "sa_local", "pentium"}
+    assert len(by_path["pentium"]) == 20
+    # Every warm packet is fast; the cold flow splits between the
+    # misses that reached the StrongARM and the hits after its fill.
+    assert len(by_path["fastpath"]) >= 5
+    assert len(by_path["fastpath"]) + len(by_path["sa_local"]) == 10
+
+    for journey in by_path["fastpath"]:
+        assert [e.event for e in journey.events] == [
+            "mac_in", "classify", "enqueue", "dequeue", "mac_out"]
+    for journey in by_path["sa_local"]:
+        assert _in_order([e.event for e in journey.events],
+                         ("to_sa", "sa_dispatch", "requeue"))
+    for journey in by_path["pentium"]:
+        assert _in_order([e.event for e in journey.events],
+                         ("to_pentium", "pentium_in", "pentium_done"))
+    for members in by_path.values():
+        for journey in members:
+            cycles = [e.cycle for e in journey.events]
+            assert cycles == sorted(cycles) and journey.discarded == 0
+            assert sum(d for __, d in journey.transitions()) == journey.end_to_end
+
+
 # ---------------------------------------------------------------------------
 # Chrome-trace export
 # ---------------------------------------------------------------------------

@@ -1,13 +1,13 @@
-"""Tests for trace capture/replay and the pipeline profiler."""
+"""Tests for trace capture/replay and per-packet milestones."""
 
 import io
 
 import pytest
 
-from repro import Router
-from repro.ixp.debug import format_timeline, latency_report, stage_breakdown, stamps_of, total_latency
+from repro import Router, RouterConfig
 from repro.net.trace import TraceCapture, TraceRecord, load_trace, replay, save_trace
 from repro.net.traffic import flow_stream, take, uniform_flood
+from repro.obs.analysis import build_journeys
 
 
 def booted():
@@ -63,6 +63,35 @@ def test_trace_rejects_garbage():
         load_trace(truncated)
 
 
+def test_save_trace_names_the_field_it_cannot_encode(tmp_path):
+    good = make_records(2)
+    frame = good[0].frame
+    for field, bad in (
+        ("port", TraceRecord(0, 0x10000, frame)),
+        ("port", TraceRecord(0, -1, frame)),
+        ("timestamp", TraceRecord(-1, 0, frame)),
+        ("timestamp", TraceRecord(1 << 64, 0, frame)),
+        ("frame length", TraceRecord(0, 0, b"x" * 0x10000)),
+    ):
+        buffer = io.BytesIO()
+        with pytest.raises(ValueError, match=f"record 2: {field} "):
+            save_trace(buffer, good + [bad])
+        assert buffer.getvalue() == b""  # checked before the header is written
+    path = tmp_path / "bad.rprt"
+    with pytest.raises(ValueError):
+        save_trace(str(path), [TraceRecord(-1, 0, frame)])
+    assert not path.exists()
+
+
+def test_replay_rejects_a_port_the_router_lacks():
+    router = Router(RouterConfig(num_ports=4))
+    records = [TraceRecord(0, 3, make_records(1)[0].frame),
+               TraceRecord(1000, 7, make_records(1)[0].frame)]
+    with pytest.raises(ValueError, match="record 1: port 7 .* 4 ports"):
+        replay(router, records)
+    router.run(50_000)  # nothing was spawned for the rejected trace
+
+
 def test_replay_delivers_at_recorded_times():
     router = booted()
     packets = take(uniform_flood(4, num_ports=2), 4)
@@ -108,63 +137,38 @@ def test_capture_save(tmp_path):
     assert len(load_trace(path)) == 4
 
 
-# -- pipeline profiler ---------------------------------------------------------------
+# -- per-packet milestones -----------------------------------------------------------
 
 
-def forwarded_packets():
+def test_milestones_recorded_in_order():
     router = booted()
+    recorder = router.enable_observability()
     packets = take(uniform_flood(6, num_ports=3), 6)
     router.warm_route_cache([p.ip.dst for p in packets])
     router.inject(9, iter(packets))
     router.run(900_000)
-    return router.transmitted()
-
-
-def test_milestones_recorded_in_order():
-    for packet in forwarded_packets():
-        stamps = dict(stamps_of(packet))
-        assert "MAC arrival" in stamps
-        assert "classified" in stamps
-        assert "enqueued" in stamps
-        assert "transmitted" in stamps
-        assert stamps["MAC arrival"] <= stamps["classified"] <= stamps["enqueued"] <= stamps["transmitted"]
-
-
-def test_latency_report_statistics():
-    packets = forwarded_packets()
-    report = latency_report(packets)
-    assert report["count"] == len(packets)
-    assert 0 < report["min_cycles"] <= report["p50_cycles"] <= report["max_cycles"]
-    assert report["mean_us"] > 0
-
-
-def test_latency_report_empty():
-    assert latency_report([]) == {"count": 0}
+    out = router.transmitted()
+    assert len(out) == 6
+    journeys = build_journeys(recorder.events)
+    for packet in out:
+        journey = journeys[packet.meta["trace_id"]]
+        assert [e.event for e in journey.events] == [
+            "mac_in", "classify", "enqueue", "dequeue", "mac_out"]
+        cycles = [e.cycle for e in journey.events]
+        assert packet.meta["t_arrived"] <= cycles[0]
+        assert cycles == sorted(cycles)
 
 
 def test_exceptional_packet_timeline_includes_strongarm():
     router = booted()
+    recorder = router.enable_observability()
     packets = take(uniform_flood(2, num_ports=1), 2)  # cold cache -> SA
     router.inject(9, iter(packets))
     router.run(2_000_000)
     out = router.transmitted()
     assert out
-    stamps = dict(stamps_of(out[0]))
-    assert "StrongARM" in stamps
-    text = format_timeline(out[0])
-    assert "StrongARM" in text and "transmitted" in text
-
-
-def test_stage_breakdown_keys():
-    packets = forwarded_packets()
-    breakdown = stage_breakdown(packets)
-    assert "MAC arrival -> classified" in breakdown
-    assert all(v >= 0 for v in breakdown.values())
-
-
-def test_total_latency_none_without_stamps():
-    from repro.net.packet import make_tcp_packet
-
-    assert total_latency(make_tcp_packet("1.1.1.1", "2.2.2.2")) is None
-    text = format_timeline(make_tcp_packet("1.1.1.1", "2.2.2.2"))
-    assert "no milestones" in text
+    timeline = recorder.packet_timeline(out[0].meta["trace_id"])
+    stations = [(e.component, e.event) for e in timeline]
+    assert ("strongarm", "sa_dispatch") in stations
+    assert stations[-1] == ("chip", "mac_out")
+    assert build_journeys(timeline)[out[0].meta["trace_id"]].path == "sa_local"
