@@ -33,8 +33,9 @@ from __future__ import annotations
 
 import gc
 import os
+import sys
 from collections import deque
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Deque, Generator, Iterable, List, Optional, Tuple
 
 from repro.obs.recorder import NULL_RECORDER
@@ -46,9 +47,19 @@ _RING_SIZE = 1 << _RING_BITS
 _RING_MASK = _RING_SIZE - 1
 
 
-# Sentinel marking a ring-bucket entry as a plain callback rather than a
-# process wake (the entry is then ``(callback, _CALLBACK)``).
-_CALLBACK = object()
+# A cycle and an event count no run reaches: the horizon of a run
+# without ``until`` and the budget of a run without ``max_events``.
+_NEVER = sys.maxsize
+
+# What a ring-bucket entry's ``_send`` returns when there is no command to
+# dispatch: the entry was a plain callback, or its process has finished.
+_SKIP = object()
+
+# ``Process._waiting_on`` of a process whose queued wake cannot be a
+# resource grant: a fired event, signal or join, or an interrupt's throw.
+# None means it may be one, so a withdrawn wake whose value is a Resource
+# is that resource's grant (see Process.interrupt).
+_WOKEN = object()
 
 
 class SimulationError(RuntimeError):
@@ -216,12 +227,10 @@ class Resource:
     def available(self) -> int:
         return self.capacity - self.in_use
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._queue)
-
     def _request(self, proc: "Process") -> None:
-        # Grant/defer; the grant inlines Simulator._resume (hot path).
+        # Grant/defer.  A grant is a wake at this cycle that carries the
+        # resource, with _waiting_on None (see _WOKEN).  The calendar's
+        # drain loop inlines this method.
         if self.in_use < self.capacity and not self._queue:
             self.in_use += 1
             proc._waiting_on = None
@@ -267,10 +276,33 @@ class Resource:
                 return
 
 
+class _CallbackRunner:
+    """Stands where a process would in a plain callback's ring-bucket
+    entry, ``(_CALLBACK, callback)``: "resuming" it runs the callback and
+    leaves nothing to dispatch."""
+
+    __slots__ = ()
+
+    def _send(self, callback: Callable[[], None]) -> object:
+        callback()
+        return _SKIP
+
+
+_CALLBACK = _CallbackRunner()
+
+
+def _finished(value: Any) -> object:
+    """``Process._send`` once the process has finished."""
+    return _SKIP
+
+
 class Process:
     """A generator-based simulated process."""
 
-    __slots__ = ("sim", "gen", "name", "_alive", "_result", "_joiners", "_waiting_on", "_interrupted")
+    __slots__ = (
+        "sim", "gen", "name", "_alive", "_result", "_joiners", "_waiting_on",
+        "_interrupted", "_send", "_wake",
+    )
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = ""):
         self.sim = sim
@@ -280,7 +312,14 @@ class Process:
         self._result: Any = None
         self._joiners: List["Process"] = []
         self._waiting_on: Any = None
+        # The heap scheduler's _step tests _alive and _interrupted; the
+        # calendar's drain loop resumes every entry through _send instead:
+        # gen.send, swapped to _throw by interrupt() and to _finished by
+        # _finish().
         self._interrupted = False
+        self._send = gen.send
+        # The ring entry of every Delay wake, built once.
+        self._wake = (self, None)
 
     @property
     def alive(self) -> bool:
@@ -292,15 +331,34 @@ class Process:
 
     def interrupt(self, cause: Any = None) -> None:
         """Abort whatever this process is waiting for and throw
-        :class:`Interrupt` into it at the current simulation time."""
+        :class:`Interrupt` into it at the current simulation time.
+
+        A wake already queued for the process (a timer, a fired event, a
+        resource grant, an earlier interrupt) is withdrawn first, and a
+        withdrawn grant returns its unit, so the throw carries ``cause``
+        and nothing else resumes the process.  A process cannot interrupt
+        itself.
+        """
         if not self._alive:
             return
+        if self.gen.gi_running:
+            raise SimulationError(f"process {self.name!r} cannot interrupt itself")
         waiting_on = self._waiting_on
-        if waiting_on is not None and hasattr(waiting_on, "_cancel"):
+        if hasattr(waiting_on, "_cancel"):
             waiting_on._cancel(self)
-        self._waiting_on = None
+        else:
+            value = self.sim._withdraw(self)
+            if waiting_on is None and isinstance(value, Resource):
+                value.release()
+        self._waiting_on = _WOKEN
         self._interrupted = True
+        self._send = self._throw
         self.sim._schedule_step(0, self, cause)
+
+    def _throw(self, cause: Any) -> Any:
+        self._interrupted = False
+        self._send = self.gen.send
+        return self.gen.throw(Interrupt(cause))
 
     def _wait(self, proc: "Process") -> None:
         # Support `yield other_process` as a join.
@@ -316,6 +374,7 @@ class Process:
 
     def _finish(self, result: Any) -> None:
         self._alive = False
+        self._send = _finished
         self._result = result
         sim = self.sim
         if sim.recorder.enabled:
@@ -334,7 +393,7 @@ class Simulator:
 
     Queue entries are plain tuples, so the hot paths never allocate
     closures.  Ring buckets hold ``(proc, value)`` pairs -- or
-    ``(callback, _CALLBACK)`` for plain callbacks -- with *no* sequence
+    ``(_CALLBACK, callback)`` for plain callbacks -- with *no* sequence
     number: appends already happen in schedule order, and far-future
     heap events maturing into a bucket were necessarily scheduled at
     least ``_RING_SIZE`` cycles earlier than every ring entry for that
@@ -376,7 +435,7 @@ class Simulator:
             bucket = self._ring[when & _RING_MASK]
             if not bucket:
                 heappush(self._ring_cycles, when)
-            bucket.append((callback, _CALLBACK))
+            bucket.append((_CALLBACK, callback))
         else:
             seq = self._seq + 1
             self._seq = seq
@@ -422,115 +481,148 @@ class Simulator:
         heap = self._heap
         ring = self._ring
         cycles = self._ring_cycles
-        count = 0
-        # ``max_events=0`` (or negative) still runs one event, exactly
-        # like the original ``count >= max_events`` post-check; -1 means
-        # unlimited (plain int compare, never equal to a positive count).
-        if max_events is None:
-            limit = -1
-        else:
-            limit = max_events if max_events > 0 else 1
-        while not self._stopped:
-            when = self.now
-            bucket = ring[when & _RING_MASK]
-            if bucket:
-                # Leftovers from a stopped/limited run at the current
-                # cycle; a marker may or may not still be pending.
-                if until is not None and when > until:
+        ring_size = _RING_SIZE
+        mask = _RING_MASK
+        delay_cls = Delay
+        acquire_cls = _AcquireCommand
+        skip = _SKIP
+        horizon = _NEVER if until is None else until
+        # Events this run may still process.  ``max_events=0`` (or
+        # negative) still runs one event, like the heap's post-check.
+        left = _NEVER if max_events is None else max(max_events, 1)
+        # A stopped or limited run leaves the rest of its bucket at ``now``
+        # without a marker; mark it, and the pick below takes it first.
+        when = self.now
+        if ring[when & mask] and (not cycles or cycles[0] != when):
+            heappush(cycles, when)
+        while True:
+            # The next cycle is the ring's earliest marked bucket, unless
+            # the far heap's head is due first or at the same cycle.
+            if cycles and (not heap or cycles[0] < heap[0][0]):
+                when = cycles[0]
+                if when > horizon:
                     self.now = until
                     break
-                if cycles and cycles[0] == when:
-                    heappop(cycles)
+                heappop(cycles)
+                bucket = ring[when & mask]
+            elif heap:
+                when = heap[0][0]
+                if when > horizon:
+                    self.now = until
+                    break
+                bucket = self._mature(when)
             else:
-                ring_when = cycles[0] if cycles else -1
-                heap_when = heap[0][0] if heap else -1
-                if ring_when < 0 and heap_when < 0:
-                    if until is not None:
-                        self.now = max(self.now, until)
-                    break
-                if ring_when >= 0 and (heap_when < 0 or ring_when <= heap_when):
-                    when = ring_when
-                else:
-                    when = heap_when
-                if until is not None and when > until:
-                    self.now = until
-                    break
-                if cycles and cycles[0] == when:
-                    heappop(cycles)
-                bucket = ring[when & _RING_MASK]
-                self.now = when
-            # Merge matured far-future events into this cycle's bucket.
-            # A heap entry for this cycle was scheduled >= _RING_SIZE
-            # cycles ago, i.e. before every ring entry waiting here, so
-            # the matured batch (popped in seq order) simply prepends.
-            if heap and heap[0][0] == when:
-                matured = []
-                while heap and heap[0][0] == when:
-                    item = heappop(heap)
-                    proc = item[2]
-                    if proc is not None:
-                        matured.append((proc, item[3]))
-                    else:
-                        matured.append((item[4], _CALLBACK))
-                bucket[:0] = matured
-            # Drain the bucket FIFO; the list iterator picks up
-            # same-cycle wakes appended while draining.  The body of
-            # :meth:`_step` (and its Delay fast path) is inlined here --
-            # one generator resume plus a bucket append per event, with
-            # no intermediate Python calls.
+                if until is not None:
+                    self.now = max(self.now, until)
+                break
+            self.now = when
+            # Drain the bucket FIFO; the list iterator picks up same-cycle
+            # wakes appended while draining.  Every entry resumes through
+            # ``_send`` (see Process), and the Delay and acquire commands
+            # are dispatched here, with no intermediate Python calls.
             i = 0
-            limited = False
             for proc, value in bucket:
                 i += 1
-                if value is not _CALLBACK:
-                    if proc._alive:
-                        try:
-                            if proc._interrupted:
-                                proc._interrupted = False
-                                command = proc.gen.throw(Interrupt(value))
-                            else:
-                                command = proc.gen.send(value)
-                        except StopIteration as stop:
-                            proc._finish(stop.value)
-                        except Interrupt:
-                            proc._finish(None)
-                        else:
-                            cls = command.__class__
-                            if cls is Delay:
-                                d = command.cycles
-                                if d < _RING_SIZE:
-                                    target = ring[(when + d) & _RING_MASK]
-                                    if not target:
-                                        heappush(cycles, when + d)
-                                    target.append((proc, None))
-                                else:
-                                    seq = self._seq + 1
-                                    self._seq = seq
-                                    heappush(heap, (when + d, seq, proc, None, None))
-                            elif cls is _AcquireCommand:
-                                command.resource._request(proc)
-                            elif isinstance(command, Delay):
-                                self._schedule_step(command.cycles, proc, None)
-                            elif isinstance(command, (Event, Signal, Process)):
-                                command._wait(proc)
-                            else:
-                                raise SimulationError(
-                                    f"process {proc.name!r} yielded unsupported "
-                                    f"command {command!r}"
-                                )
+                try:
+                    command = proc._send(value)
+                except StopIteration as stop:
+                    proc._finish(stop.value)
+                except Interrupt:
+                    proc._finish(None)
                 else:
-                    proc()
-                count += 1
-                if self._stopped:
-                    break
-                if count == limit:
-                    limited = True
-                    break
-            del bucket[:i]
+                    cls = command.__class__
+                    if cls is delay_cls:
+                        d = command.cycles
+                        if d < ring_size:
+                            target = ring[(when + d) & mask]
+                            if not target:
+                                heappush(cycles, when + d)
+                            target.append(proc._wake)
+                        else:
+                            seq = self._seq + 1
+                            self._seq = seq
+                            heappush(heap, (when + d, seq, proc, None, None))
+                    elif cls is acquire_cls:
+                        # Resource._request; an immediate grant is a wake at
+                        # this cycle, i.e. an append to this bucket.
+                        resource = command.resource
+                        if resource.in_use < resource.capacity and not resource._queue:
+                            resource.in_use += 1
+                            proc._waiting_on = None
+                            bucket.append((proc, resource))
+                        else:
+                            resource.total_waits += 1
+                            resource._queue.append((proc, when))
+                            proc._waiting_on = resource
+                    elif command is not skip:
+                        if isinstance(command, Delay):
+                            self._schedule_step(command.cycles, proc, None)
+                        elif isinstance(command, (Event, Signal, Process)):
+                            command._wait(proc)
+                        else:
+                            raise SimulationError(
+                                f"process {proc.name!r} yielded unsupported "
+                                f"command {command!r}"
+                            )
+                if i == left or self._stopped:
+                    # The rest of the bucket waits for the next run.
+                    del bucket[:i]
+                    self._events_processed += i
+                    return when
+            bucket.clear()
             self._events_processed += i
-            if limited:
-                break
+            left -= i
         return self.now
+
+    def _mature(self, when: int) -> list:
+        """Move the far-heap events due at ``when`` into its bucket, and
+        return the bucket.  A heap event for ``when`` was scheduled at
+        least ``_RING_SIZE`` cycles earlier, i.e. before every ring entry
+        waiting there, so the batch (popped in seq order) simply prepends.
+        """
+        heap = self._heap
+        matured = []
+        while heap and heap[0][0] == when:
+            __, __, proc, value, callback = heappop(heap)
+            matured.append((proc, value) if proc is not None else (_CALLBACK, callback))
+        bucket = self._ring[when & _RING_MASK]
+        bucket[:0] = matured
+        cycles = self._ring_cycles
+        if cycles and cycles[0] == when:
+            heappop(cycles)
+        return bucket
+
+    def _withdraw(self, proc: Process) -> Any:
+        """Remove the wake queued for ``proc`` and return its value (None
+        if it has none): the interrupt path.  A process that is not
+        running and waits on nothing has exactly one queued wake."""
+        heap = self._heap
+        for k, entry in enumerate(heap):
+            if entry[2] is proc:
+                del heap[k]
+                heapify(heap)
+                return entry[3]
+        if self._use_ring:
+            return self._withdraw_from_ring(proc)
+        return None
+
+    def _withdraw_from_ring(self, proc: Process) -> Any:
+        """Remove ``proc``'s ring entry and return its value (None if it
+        has none).  Buckets ahead of ``now`` hold only pending entries;
+        the bucket at ``now`` may also hold entries this cycle has already
+        drained, and they all precede the pending one.  So the first entry
+        of ``proc`` seen scanning back from the farthest bucket is it."""
+        cycles = self._ring_cycles
+        for when in range(self.now + _RING_SIZE - 1, self.now - 1, -1):
+            bucket = self._ring[when & _RING_MASK]
+            for k in range(len(bucket) - 1, -1, -1):
+                if bucket[k][0] is proc:
+                    value = bucket.pop(k)[1]
+                    if not bucket and when in cycles:
+                        cycles.remove(when)
+                        heapify(cycles)
+                    return value
+        return None
 
     def _run_heap(self, until: Optional[int], max_events: Optional[int]) -> int:
         heap = self._heap
@@ -582,7 +674,7 @@ class Simulator:
         return Resource(self, capacity, name)
 
     def _resume(self, proc: Process, value: Any) -> None:
-        proc._waiting_on = None
+        proc._waiting_on = _WOKEN
         if self._use_ring:
             bucket = self._ring[self.now & _RING_MASK]
             if not bucket:
@@ -602,11 +694,11 @@ class Simulator:
             if not bucket:
                 heappush(self._ring_cycles, self.now)
             for proc in procs:
-                proc._waiting_on = None
+                proc._waiting_on = _WOKEN
                 bucket.append((proc, value))
         else:
             for proc in procs:
-                proc._waiting_on = None
+                proc._waiting_on = _WOKEN
                 self._schedule_step(0, proc, value)
 
     def _step(self, proc: Process, value: Any) -> None:
@@ -625,20 +717,6 @@ class Simulator:
             proc._finish(None)
             return
         # Dispatch, most frequent command first.
-        if isinstance(command, Delay):
-            self._schedule_step(command.cycles, proc, None)
-        elif isinstance(command, _AcquireCommand):
-            command.resource._request(proc)
-        elif isinstance(command, (Event, Signal, Process)):
-            command._wait(proc)
-        else:
-            raise SimulationError(
-                f"process {proc.name!r} yielded unsupported command {command!r}"
-            )
-
-    def _dispatch(self, proc: Process, command: Any) -> None:
-        """Compatibility shim: dispatch one yielded command (the hot path
-        inlines this logic in :meth:`_step`)."""
         if isinstance(command, Delay):
             self._schedule_step(command.cycles, proc, None)
         elif isinstance(command, _AcquireCommand):

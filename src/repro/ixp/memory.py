@@ -73,10 +73,6 @@ class Memory:
             plans.append((occupancy, delay(occupancy), delay(remaining) if remaining > 0 else None))
         return tuple(plans)
 
-    def _count(self, tag: str, op: str) -> None:
-        key = (tag, op)
-        self.access_counts[key] = self.access_counts.get(key, 0) + 1
-
     def read(self, tag: str = "untagged") -> Generator:
         """Timed read of one transfer unit; yields from a context program."""
         return self._access("read", self.timing.read_latency, tag)

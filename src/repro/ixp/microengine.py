@@ -196,15 +196,6 @@ class MicroContext:
             yield delay(cycles)
         yield from self._swap_in()
 
-    def blocked_on(self, resource: Resource, hold_cycles: int) -> Generator:
-        """Block off-engine while acquiring and holding ``resource``."""
-        self._swap_out()
-        yield resource.acquire()
-        if hold_cycles:
-            yield delay(hold_cycles)
-        resource.release()
-        yield from self._swap_in()
-
     # -- hardware mutex -----------------------------------------------------------
 
     def lock(self, resource: Resource) -> Generator:

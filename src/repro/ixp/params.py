@@ -141,9 +141,6 @@ class IXPParams:
     def cycle_ns(self) -> float:
         return 1e9 / self.clock_hz
 
-    def cycles_to_seconds(self, cycles: int) -> float:
-        return cycles / self.clock_hz
-
     def pps(self, packets: int, cycles: int) -> float:
         """Packets/second given packets forwarded over a cycle window."""
         if cycles <= 0:

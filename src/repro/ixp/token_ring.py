@@ -80,9 +80,3 @@ class TokenRing:
         event = self._waiting.pop(self.current_holder, None)
         if event is not None and not event.triggered:
             event.succeed()
-
-    def kick(self) -> None:
-        """Wake the initial holder (call once after spawning members)."""
-        event = self._waiting.pop(self.current_holder, None)
-        if event is not None and not event.triggered:
-            event.succeed()

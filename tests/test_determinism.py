@@ -9,8 +9,9 @@ determinism bug (see ``docs/engine.md``).
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.engine import Resource, SimulationError, Simulator, delay
+from repro.engine import Delay, Event, Resource, SimulationError, Simulator, delay
 from repro.ixp.chip import ChipConfig, IXP1200
 from repro.ixp.programs import TimedVRP
 
@@ -133,3 +134,114 @@ def test_same_cycle_fifo_across_schedulers():
         return order
 
     assert run("calendar") == run("heap")
+
+
+# -- calendar vs heap on random process mixes --------------------------------
+
+# One op of a generated process: a Delay, a hold of a shared resource, a
+# wait on or a firing of an Event/Signal, a join, or a callback that logs
+# and fires.  Delays cross the 1,024-cycle ring horizon.
+_CYCLES = st.one_of(
+    st.sampled_from([0, 1, 512, 1_023, 1_024, 1_536, 2_048]), st.integers(0, 2_100)
+)
+_OPS = st.one_of(
+    st.tuples(st.just("delay"), _CYCLES),
+    st.tuples(st.just("hold"), st.integers(0, 1), st.integers(0, 30)),
+    st.tuples(st.just("wait"), st.integers(0, 3)),
+    st.tuples(st.just("fire"), st.integers(0, 3)),
+    st.tuples(st.just("join"), st.integers(0, 5)),
+    st.tuples(st.just("callback"), _CYCLES, st.integers(0, 3)),
+)
+_PROGRAMS = st.lists(st.lists(_OPS, min_size=1, max_size=8), min_size=2, max_size=6)
+
+
+def _random_mix(scheduler, programs, first_until, events, second_until, stop_at):
+    """Run ``programs`` in slices -- ``run(until)``, a ``max_events`` slice,
+    a late spawn, a second ``run(until)`` and two open runs, one of them
+    cut by a ``stop()`` from a callback -- and return the ``(cycle, tag)``
+    log plus the clock and event count after every slice."""
+    sim = Simulator(scheduler=scheduler)
+    resources = [Resource(sim, capacity=1), Resource(sim, capacity=2)]
+    waitables = [sim.event(), sim.event(), sim.signal(), sim.signal()]
+    procs = []
+    log = []
+
+    def fire(k):
+        target = waitables[k]
+        if isinstance(target, Event):
+            if not target.triggered:
+                target.succeed(k)
+        else:
+            target.fire(k)
+
+    def process(pid, ops):
+        for n, op in enumerate(ops):
+            kind = op[0]
+            if kind == "delay":
+                yield delay(op[1]) if op[1] < 1_024 else Delay(op[1])
+            elif kind == "hold":
+                resource = resources[op[1]]
+                yield resource.acquire()
+                log.append((sim.now, pid, n, "granted"))
+                yield delay(op[2])
+                resource.release()
+            elif kind == "wait":
+                value = yield waitables[op[1]]
+                log.append((sim.now, pid, n, "woken", value))
+            elif kind == "fire":
+                fire(op[1])
+            elif kind == "join":
+                yield procs[op[1] % len(procs)]
+            else:
+                def callback(pid=pid, n=n, k=op[2]):
+                    log.append((sim.now, pid, n, "callback"))
+                    fire(k)
+                sim.schedule(op[1], callback)
+            log.append((sim.now, pid, n, kind))
+        return pid
+
+    def ticker():
+        # Ring wakes every 512 cycles, so a far-heap wake at a multiple of
+        # 512 matures into a bucket that already holds a ring wake.
+        for __ in range(10):
+            yield delay(512)
+            log.append((sim.now, "tick"))
+
+    for pid, ops in enumerate(programs):
+        procs.append(sim.spawn(process(pid, ops)))
+    sim.spawn(ticker())
+    sim.schedule(stop_at, sim.stop)
+
+    checkpoints = []
+    sim.run(until=first_until)
+    checkpoints.append((sim.now, sim._events_processed))
+    sim.run(max_events=events)
+    checkpoints.append((sim.now, sim._events_processed))
+    # A wake scheduled between runs lands on the current cycle, possibly
+    # behind the entries a limited run left there.
+    procs.append(sim.spawn(process(len(programs), programs[0])))
+    sim.run(until=sim.now + second_until)
+    checkpoints.append((sim.now, sim._events_processed))
+    sim.run()
+    checkpoints.append((sim.now, sim._events_processed))
+    sim.run()
+    checkpoints.append((sim.now, sim._events_processed))
+    return log, checkpoints, [p.alive for p in procs]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    programs=_PROGRAMS,
+    first_until=st.integers(0, 3_000),
+    events=st.integers(0, 40),
+    second_until=st.integers(0, 3_000),
+    stop_at=st.integers(0, 6_000),
+)
+def test_random_process_mixes_agree_across_schedulers(
+    programs, first_until, events, second_until, stop_at
+):
+    """The calendar's drain loop, cycle pick, far-heap maturation and
+    leftover buckets (after ``stop()`` and ``max_events``) against the
+    reference heap: identical logs, clocks and event counts."""
+    args = (programs, first_until, events, second_until, stop_at)
+    assert _random_mix("calendar", *args) == _random_mix("heap", *args)

@@ -265,6 +265,226 @@ def test_interrupted_resource_waiter_leaves_queue():
     assert resource.available == 1
 
 
+@pytest.mark.parametrize("scheduler", ["calendar", "heap"])
+@pytest.mark.parametrize("nap", [100, 5_000])  # a ring wake and a far-heap wake
+def test_interrupt_withdraws_the_pending_timer(scheduler, nap):
+    """An interrupted sleeper that then waits on an event nobody fires
+    must stay asleep: its old timer no longer resumes it."""
+    sim = Simulator(scheduler=scheduler)
+    never = sim.event()
+    log = []
+
+    def sleeper():
+        try:
+            yield Delay(nap)
+            log.append(("woke", sim.now))
+        except Interrupt as intr:
+            log.append(("interrupted", sim.now, intr.cause))
+        value = yield never
+        log.append(("resumed", sim.now, value))
+
+    proc = sim.spawn(sleeper())
+    sim.schedule(10, lambda: proc.interrupt("stop"))
+    sim.run()
+    assert log == [("interrupted", 10, "stop")]
+    assert proc.alive
+
+
+@pytest.mark.parametrize("scheduler", ["calendar", "heap"])
+def test_interrupt_carries_its_cause_past_a_same_cycle_wake(scheduler):
+    """The interrupt lands in the cycle the victim's timer expires, ahead
+    of the timer's wake: the victim sees the cause, once, and its next
+    wait is not answered by the cause."""
+    sim = Simulator(scheduler=scheduler)
+    log = []
+    procs = []
+
+    def victim():
+        try:
+            yield Delay(10)
+            log.append(("woke", sim.now))
+        except Interrupt as intr:
+            log.append(("interrupted", sim.now, intr.cause))
+        value = yield sim.event()
+        log.append(("resumed", sim.now, value))
+
+    sim.schedule(10, lambda: procs[0].interrupt("cause"))
+    procs.append(sim.spawn(victim()))
+    sim.run()
+    assert log == [("interrupted", 10, "cause")]
+
+
+@pytest.mark.parametrize("scheduler", ["calendar", "heap"])
+def test_interrupt_hands_back_a_queued_grant(scheduler):
+    """A waiter granted the resource but interrupted before it resumes
+    returns the unit, which passes on to the next waiter."""
+    sim = Simulator(scheduler=scheduler)
+    resource = sim.resource()
+    log = []
+    procs = {}
+
+    def holder():
+        yield resource.acquire()
+        yield Delay(10)
+        resource.release()  # queues the grant to "first"
+        procs["first"].interrupt("late")
+
+    def waiter(name):
+        try:
+            yield resource.acquire()
+            log.append((name, "acquired", sim.now))
+            yield Delay(5)
+            resource.release()
+        except Interrupt as intr:
+            log.append((name, "interrupted", sim.now, intr.cause))
+
+    sim.spawn(holder())
+    procs["first"] = sim.spawn(waiter("first"))
+    procs["second"] = sim.spawn(waiter("second"))
+    sim.run()
+    # The withdrawal's release grants "second" before the throw is queued.
+    assert log == [("second", "acquired", 10), ("first", "interrupted", 10, "late")]
+    assert resource.available == 1
+
+
+@pytest.mark.parametrize("scheduler", ["calendar", "heap"])
+def test_interrupt_hands_back_an_immediate_grant(scheduler):
+    """A process woken by an event, then granted the idle resource at
+    once and interrupted before the grant resumes it, returns the unit."""
+    sim = Simulator(scheduler=scheduler)
+    resource = sim.resource()
+    go = sim.event()
+    log = []
+
+    def waiter():
+        yield go
+        try:
+            yield resource.acquire()
+            log.append(("acquired", sim.now))
+        except Interrupt as intr:
+            log.append(("interrupted", sim.now, intr.cause))
+
+    proc = sim.spawn(waiter())
+
+    def fire():
+        go.succeed()
+        # Runs after the waiter's wake and its grant, before the grant's wake.
+        sim.schedule(0, lambda: proc.interrupt("late"))
+
+    sim.schedule(5, fire)
+    sim.run()
+    assert log == [("interrupted", 5, "late")]
+    assert resource.available == 1
+
+
+@pytest.mark.parametrize("scheduler", ["calendar", "heap"])
+@pytest.mark.parametrize("late", [False, True])  # waits before or after the firing
+def test_interrupt_keeps_a_resource_an_event_carried(scheduler, late):
+    """A fired event's wake whose value is a Resource is not a grant:
+    withdrawing it hands nothing back, and its holder keeps the unit."""
+    sim = Simulator(scheduler=scheduler)
+    held = sim.resource()
+    fired = sim.event()
+    log = []
+
+    def waiter():
+        try:
+            if late:
+                yield Delay(1)
+            yield fired
+        except Interrupt as intr:
+            log.append(("interrupted", sim.now, intr.cause))
+
+    def owner():
+        yield held.acquire()
+        fired.succeed(held)
+        if late:
+            # Runs right behind the waiter's Delay wake, which waits on the
+            # fired event and so queues its wake.
+            sim.schedule(1, lambda: procs[0].interrupt("cause"))
+        else:
+            procs[0].interrupt("cause")
+        yield Delay(100)
+
+    procs = [sim.spawn(waiter())]
+    sim.spawn(owner())
+    sim.run()
+    assert log == [("interrupted", int(late), "cause")]
+    assert held.in_use == 1
+
+
+@pytest.mark.parametrize("scheduler", ["calendar", "heap"])
+def test_second_interrupt_replaces_the_pending_throw(scheduler):
+    """Two interrupts before the victim runs: it sees the second cause
+    once, and withdrawing the first throw releases nothing, even when
+    that cause is a Resource."""
+    sim = Simulator(scheduler=scheduler)
+    held = sim.resource()
+    log = []
+
+    def victim():
+        try:
+            yield Delay(50)
+        except Interrupt as intr:
+            log.append(("interrupted", sim.now, intr.cause))
+        value = yield sim.event()
+        log.append(("resumed", sim.now, value))
+
+    def owner():
+        yield held.acquire()
+        yield Delay(100)
+
+    proc = sim.spawn(victim())
+    sim.spawn(owner())
+
+    def interrupt_twice():
+        proc.interrupt(held)
+        proc.interrupt("second")
+
+    sim.schedule(10, interrupt_twice)
+    sim.run()
+    assert log == [("interrupted", 10, "second")]
+    assert held.in_use == 1
+
+
+@pytest.mark.parametrize("scheduler", ["calendar", "heap"])
+def test_interrupt_withdraws_a_wake_behind_drained_entries(scheduler):
+    """The victim already ran this cycle and queued a zero-delay wake
+    behind the interrupting callback: that wake is withdrawn, and every
+    other entry of the cycle still runs once."""
+    sim = Simulator(scheduler=scheduler)
+    log = []
+
+    def victim():
+        yield Delay(5)
+        log.append(("ran", sim.now))
+        try:
+            yield Delay(0)
+            log.append(("woke", sim.now))
+        except Interrupt as intr:
+            log.append(("interrupted", sim.now, intr.cause))
+
+    proc = sim.spawn(victim())
+    sim.run(until=0)
+    sim.schedule(5, lambda: proc.interrupt("now"))
+    sim.schedule(5, lambda: log.append(("bystander", sim.now)))
+    sim.run()
+    assert log == [("ran", 5), ("bystander", 5), ("interrupted", 5, "now")]
+
+
+def test_process_cannot_interrupt_itself():
+    sim = Simulator()
+    procs = []
+
+    def rogue():
+        yield Delay(1)
+        procs[0].interrupt()
+
+    procs.append(sim.spawn(rogue()))
+    with pytest.raises(SimulationError):
+        sim.run()
+
+
 def test_stop_halts_run():
     sim = Simulator()
     fired = []
