@@ -108,19 +108,15 @@ def run_vrp_pentium_share(
     ))
     sa, pentium = _attach_hosts(chip, pentium_cycles)
 
-    start = {}
-
     def open_window():
         chip.start_window()
         pentium.start_window()
-        start["pentium"] = pentium.processed
-        start["sa_drops"] = chip.counters["sa_drops"]
 
     chip.sim.schedule(warmup, open_window)
     chip.sim.run(until=warmup + window)
     m = chip.report()
-    pentium_packets = pentium.processed - start.get("pentium", 0)
-    sa_drops = chip.counters["sa_drops"] - start.get("sa_drops", 0)
+    pentium_packets = pentium.window.peek()["processed"]
+    sa_drops = chip.window.peek()["sa_drops"]
     # A sustained source backlog means the router fell behind the offered
     # line rate: those packets would be tail-dropped at the ports.  A
     # small in-flight allowance (two packets per context) is not loss.
@@ -138,20 +134,6 @@ def run_vrp_pentium_share(
     )
 
 
-def max_lossless_pentium_share(
-    candidates=(16, 8, 6, 4, 3, 2),
-    window: int = 400_000,
-) -> float:
-    """Sweep the share and report the highest lossless Pentium rate (the
-    paper's 310 Kpps figure)."""
-    best = 0.0
-    for every in sorted(candidates, reverse=True):
-        result = run_vrp_pentium_share(every, window=window)
-        if result.lossless:
-            best = max(best, result.pentium_processed_pps)
-    return best
-
-
 def run_exceptional_flood(
     exceptional_every: int,
     window: int = 300_000,
@@ -166,16 +148,10 @@ def run_exceptional_flood(
     ))
     sa = StrongARM(chip)  # local null forwarder service
 
-    start = {}
-
-    def open_window():
-        chip.start_window()
-        start["sa_drops"] = chip.counters["sa_drops"]
-
-    chip.sim.schedule(warmup, open_window)
+    chip.sim.schedule(warmup, chip.start_window)
     chip.sim.run(until=warmup + window)
     m = chip.report()
-    sa_drops = chip.counters["sa_drops"] - start.get("sa_drops", 0)
+    sa_drops = chip.window.peek()["sa_drops"]
     return RobustnessResult(
         offered_pps=m.input_pps,
         forwarded_pps=m.output_pps,

@@ -20,6 +20,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.chaos.schedule import FaultSpec, generate_schedule, schedule_to_json
 from repro.control.channel import DEFAULT_MAX_ATTEMPTS
 from repro.control.linkstate import ADJ_FULL
+from repro.obs.metrics import Deltas
 from repro.topo.network import LOGGED_KINDS, Topology
 from repro.topo.scenarios import ring_with_primary
 from repro.verdict import Verdict, inv
@@ -181,10 +182,10 @@ def run_trial(seed: int, trial: int,
         topo.run(1_000)
     settle_cycles = topo.sim.now - settle_start
 
-    retx_before = sum(n.binding.retransmits for n in topo.nodes.values())
+    retx = Deltas(lambda: {
+        "retransmits": sum(n.binding.retransmits for n in topo.nodes.values())})
     topo.run(QUIET_TAIL)
-    retx_tail = (sum(n.binding.retransmits for n in topo.nodes.values())
-                 - retx_before)
+    retx_tail = retx()["retransmits"]
 
     acct = topo.accounting()
     residual = acct["residual"] - acct["icmp_errors"]

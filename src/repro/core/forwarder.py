@@ -61,10 +61,6 @@ class ForwarderSpec:
         if self.state_bytes < 0:
             raise ValueError("state_bytes must be non-negative")
 
-    @property
-    def is_per_flow_capable(self) -> bool:
-        return True
-
     def summary(self) -> str:
         if self.program is not None:
             cost = self.program.cost()

@@ -148,20 +148,15 @@ class Router:
         hooks plus the PCI bus, the Pentium, and a periodic utilization
         sampler over the hosts' busy counters (normalized to simulation
         cycles so StrongARM and Pentium series share one unit)."""
-        from repro.obs.accounting import DEFAULT_SAMPLE_PERIOD, host_sampler
+        from repro.obs.metrics import DEFAULT_SAMPLE_PERIOD, every, host_utilization
 
         recorder = self.chip.enable_observability(recorder, sample_period=sample_period)
         self.pci.recorder = recorder
-        probes = [("strongarm", self.strongarm, "busy_cycles", 1.0),
-                  ("pci", self.pci, "busy_cycles", 1.0)]
         if self.pentium is not None:
             self.pentium.recorder = recorder
-            probes.append(
-                ("pentium", self.pentium, "busy_pentium_cycles",
-                 1.0 / self.pentium.params.ratio)
-            )
         period = DEFAULT_SAMPLE_PERIOD if sample_period is None else sample_period
-        self.sim.spawn(host_sampler(self.sim, recorder, probes, period),
+        self.sim.spawn(every(self.sim, period,
+                             lambda: host_utilization(self, recorder, period)),
                        name="obs-host-sampler")
         return recorder
 

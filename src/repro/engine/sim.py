@@ -461,7 +461,12 @@ class Simulator:
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
         """Process events until the queue empties, ``until`` cycles is
         reached, or ``max_events`` callbacks have run.  Returns ``now``.
+        An ``until`` behind ``now`` (possible after a ``max_events`` or
+        ``stop()`` cut) is an error: the clock never runs backwards.
         """
+        if until is not None and until < self.now:
+            raise SimulationError(
+                f"cannot run back to cycle {until} (now {self.now})")
         self._stopped = False
         # The hot loop allocates short-lived tuples and generator frames
         # that are all refcount-collected; cyclic collector passes only

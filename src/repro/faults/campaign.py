@@ -133,7 +133,7 @@ class _Outcome:
         self.watchdog = watchdog
         self.marks = marks
         self.stats = router.stats()
-        self.tx = [port.tx_count for port in router.ports]
+        self.tx = [port.tx_packets for port in router.ports]
         self.trace_hash = (export.trace_hash(recorder.events.to_list())
                            if recorder is not None else None)
 
@@ -142,8 +142,7 @@ class _Outcome:
         return self.tx[0] + self.tx[1]
 
     def rx_overflow(self) -> int:
-        return sum(p.stats.counter("rx_dropped_packets").value
-                   for p in self.router.ports)
+        return sum(p.rx_dropped_packets for p in self.router.ports)
 
 
 def _run(traffic: Callable[[Router], None],
@@ -462,7 +461,7 @@ def _scenario_memory_stress(seed: int, window: int, warmup: int) -> CampaignResu
         inj.schedule_pci_stall(router.pci, t0 + 6 * hold, hold)
 
         def probe():
-            marks["tx_at_resume"] = sum(p.tx_count for p in router.ports)
+            marks["tx_at_resume"] = sum(p.tx_packets for p in router.ports)
 
         router.sim.schedule(t0 + 7 * hold + 1, probe)
 

@@ -20,6 +20,7 @@ from repro.ixp.buffers import BufferHandle
 from repro.ixp.chip import ChipConfig, IXP1200
 from repro.ixp.queues import PacketDescriptor
 from repro.net.packet import make_tcp_packet
+from repro.obs.metrics import Deltas
 
 SIM_CLOCK_HZ = 200e6
 
@@ -92,22 +93,20 @@ def measure_pentium_path(
     )
     sim.spawn(_feeder(chip, chip.sa_pentium_queue, packet_bytes, "pentium"), name="feeder")
 
-    processed_at_start = {}
+    bridge = Deltas(lambda: {"busy": sa.busy_cycles, "bridged": sa.bridged})
 
     def open_window():
         pentium.start_window()
-        processed_at_start["pentium"] = pentium.processed
-        processed_at_start["sa_busy"] = sa.busy_cycles
-        processed_at_start["sa_n"] = sa.bridged
+        bridge()  # this reading is the StrongARM's window baseline
 
     sim.schedule(warmup, open_window)
     sim.run(until=warmup + window)
 
-    packets = pentium.processed - processed_at_start["pentium"]
+    packets = pentium.window.peek()["processed"]
     rate = packets * SIM_CLOCK_HZ / window
-    sa_packets = max(1, sa.bridged - processed_at_start["sa_n"])
-    sa_busy = sa.busy_cycles - processed_at_start["sa_busy"]
-    sa_spare = max(0.0, (window - sa_busy) / sa_packets)
+    sa_moved = bridge.peek()
+    sa_packets = max(1, sa_moved["bridged"])
+    sa_spare = max(0.0, (window - sa_moved["busy"]) / sa_packets)
     return PathMeasurement(
         packet_bytes=packet_bytes,
         rate_pps=rate,
@@ -140,8 +139,7 @@ def measure_strongarm_path(
         _feeder(chip, chip.sa_local_queue, 64, "local", extra_meta), name="feeder"
     )
 
-    counts = {}
-    sim.schedule(warmup, lambda: counts.setdefault("start", sa.local_processed))
+    handled = Deltas(lambda: {"packets": sa.local_processed})
+    sim.schedule(warmup, handled)  # the window opens: a new baseline
     sim.run(until=warmup + window)
-    packets = sa.local_processed - counts.get("start", 0)
-    return packets * SIM_CLOCK_HZ / window
+    return handled.peek()["packets"] * SIM_CLOCK_HZ / window

@@ -18,6 +18,7 @@ from typing import Callable, Dict, Generator, Optional
 from repro.engine import Delay, Simulator, delay
 from repro.hosts.pci import I2OMessage, I2OQueuePair, PCIBus
 from repro.hosts.scheduling import StrideScheduler
+from repro.obs.metrics import Deltas
 from repro.obs.recorder import NULL_RECORDER
 
 SIM_CLOCK_HZ = 200e6
@@ -74,8 +75,7 @@ class PentiumHost:
         self.restarts = 0
         #: True while a received message is being handled.
         self.holding = False
-        self._window_start_busy = 0.0
-        self._window_start_processed = 0
+        self.start_window()
         self._proc = sim.spawn(self._run(), name="pentium")
 
     # -- crash / restart ---------------------------------------------------------
@@ -103,8 +103,10 @@ class PentiumHost:
     # -- measurement ------------------------------------------------------------
 
     def start_window(self) -> None:
-        self._window_start_busy = self.busy_pentium_cycles
-        self._window_start_processed = self.processed
+        """Open a measurement window: ``window.peek()`` is the busy
+        Pentium cycles and processed packets since."""
+        self.window = Deltas(lambda: {"busy": self.busy_pentium_cycles,
+                                      "processed": self.processed})
 
     def spare_cycles_per_packet(self, window_sim_cycles: int) -> Optional[float]:
         """The paper's delay-loop measurement: unused Pentium cycles per
@@ -112,12 +114,12 @@ class PentiumHost:
         processed -- the quantity is undefined, and the old
         ``float("inf")`` sentinel leaked ``Infinity`` (invalid JSON) into
         exported reports."""
-        packets = self.processed - self._window_start_processed
+        moved = self.window.peek()
+        packets = moved["processed"]
         if packets == 0:
             return None
         total = window_sim_cycles * self.params.ratio
-        busy = self.busy_pentium_cycles - self._window_start_busy
-        return max(0.0, (total - busy) / packets)
+        return max(0.0, (total - moved["busy"]) / packets)
 
     # -- execution ----------------------------------------------------------------
 

@@ -47,6 +47,8 @@ from repro.net.mac import MACPort
 from repro.net.mp import mp_count as frame_mp_count
 from repro.net.mp import segment_packet
 from repro.net.routing import RouteCache, RoutingTable
+from repro.obs.metrics import (DEFAULT_SAMPLE_PERIOD, Deltas,
+                               chip_utilization, every)
 from repro.obs.recorder import NULL_RECORDER, Recorder
 
 
@@ -291,8 +293,7 @@ class IXP1200:
             "sa_drops": 0,
             "vrp_dropped": 0,
         }
-        self._snapshot: Dict[str, int] = dict(self.counters)
-        self._window_start = 0
+        self.start_window()
 
         # Buffer-handle -> accumulated MP payloads (functional contents).
         self._infinite_queues: Dict[int, _InfiniteQueue] = {}
@@ -318,8 +319,6 @@ class IXP1200:
         paths change behaviour: with the default null recorder nothing
         here runs and the simulation is bit-identical to an uninstrumented
         one."""
-        from repro.obs.accounting import DEFAULT_SAMPLE_PERIOD, chip_sampler
-
         if recorder is None:
             recorder = Recorder()
         self.recorder = recorder
@@ -328,7 +327,9 @@ class IXP1200:
         for me in self.engines:
             me.recorder = recorder
         period = DEFAULT_SAMPLE_PERIOD if sample_period is None else sample_period
-        self.sim.spawn(chip_sampler(self, recorder, period), name="obs-sampler")
+        self.sim.spawn(every(self.sim, period,
+                             lambda: chip_utilization(self, recorder, period)),
+                       name="obs-sampler")
         return recorder
 
     # -- construction ---------------------------------------------------------
@@ -640,12 +641,6 @@ class IXP1200:
 
     # -- measurement ------------------------------------------------------------------
 
-    def counter_deltas(self, since: Dict[str, int]) -> Dict[str, int]:
-        """Counter movement since a ``dict(self.counters)`` snapshot --
-        the health monitor's per-evaluation view, independent of the
-        measurement window machinery."""
-        return {k: v - since.get(k, 0) for k, v in self.counters.items()}
-
     def max_queue_depth_fraction(self) -> float:
         """The fullest SRAM packet queue right now, as a fraction of its
         capacity (0.0 when every queue is empty or unbounded)."""
@@ -656,10 +651,13 @@ class IXP1200:
         return worst
 
     def start_window(self) -> None:
-        self._snapshot = dict(self.counters)
-        self._window_start = self.sim.now
-        self.dram.busy_cycles = 0
-        self.sram.busy_cycles = 0
+        """Open a measurement window: ``window.peek()`` is every
+        counter's movement from here (plus ``cycle``, the window's length
+        so far), which :meth:`report` turns into rates.  No counter is
+        reset, so every other reader of them stays consistent."""
+        self.window = Deltas(lambda: {**self.counters, "cycle": self.sim.now,
+                                      "dram_busy": self.dram.busy_cycles,
+                                      "sram_busy": self.sram.busy_cycles})
 
     def measure(self, window: int, warmup: int = 20_000) -> Measurement:
         """Run ``warmup`` cycles, then measure rates over ``window``."""
@@ -668,8 +666,8 @@ class IXP1200:
         return self.report()
 
     def report(self) -> Measurement:
-        window = self.sim.now - self._window_start
-        delta = {k: self.counters[k] - self._snapshot.get(k, 0) for k in self.counters}
+        delta = self.window.peek()
+        window = delta["cycle"]
         return Measurement(
             window_cycles=window,
             input_mps=delta["input_mps"],
@@ -681,6 +679,6 @@ class IXP1200:
             exceptional=delta["exceptional"],
             input_pps=self.params.pps(delta["input_packets"], window),
             output_pps=self.params.pps(delta["output_packets"], window),
-            dram_utilization=self.dram.utilization(window),
-            sram_utilization=self.sram.utilization(window),
+            dram_utilization=delta["dram_busy"] / window if window > 0 else 0.0,
+            sram_utilization=delta["sram_busy"] / window if window > 0 else 0.0,
         )

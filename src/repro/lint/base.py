@@ -48,8 +48,9 @@ RULES: Dict[str, str] = {
     "RPR302": "unregistered component literal passed to record(...)",
     "RPR303": "hardcoded stage list duplicating the repro.obs.events registry",
     "RPR304": "monitor rule name not registered in repro.obs.events",
-    "RPR305": "metric series name passed to sample(...) not registered in "
-              "repro.obs.events (METRIC_SERIES / METRIC_PATTERNS)",
+    "RPR305": "series name passed to sample(...) or sample_series(...) not "
+              "registered in repro.obs.events (METRIC_SERIES / "
+              "METRIC_PATTERNS)",
 }
 
 

@@ -101,17 +101,19 @@ def check_trace_names(tree: ast.AST, source: str, path: str,
                             "it or fix the name",
                         ))
 
-        # -- RPR305: sample(...) metric series names ---------------------------
+        # -- RPR305: sample(...) / sample_series(...) series names -------------
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
-                and node.func.attr in ctx.config.sampler_hooks \
-                and receiver_kind(node.func.value, ctx.config) == "sampler":
+                and ((node.func.attr in ctx.config.sampler_hooks
+                      and receiver_kind(node.func.value, ctx.config) == "sampler")
+                     or (node.func.attr == "sample_series"
+                         and receiver_kind(node.func.value, ctx.config) == "recorder")):
             name_arg = _record_arg(node, 0, "name")
             if name_arg is not None:
                 for const in _literal_values(name_arg):
                     if not registry.is_metric_series(const.value):
                         out.append(Violation(
                             path, const.lineno, const.col_offset, "RPR305",
-                            f"metric series {const.value!r} is not registered "
+                            f"series {const.value!r} is not registered "
                             "in repro.obs.events (METRIC_SERIES / "
                             "METRIC_PATTERNS); register the family or fix "
                             "the name",
@@ -121,7 +123,7 @@ def check_trace_names(tree: ast.AST, source: str, path: str,
                         and not registry.is_metric_series(template):
                     out.append(Violation(
                         path, name_arg.lineno, name_arg.col_offset, "RPR305",
-                        f"metric series template {template!r} resolves "
+                        f"series template {template!r} resolves "
                         "against no registered family in repro.obs.events "
                         "(METRIC_PATTERNS); register the family or fix the "
                         "name",

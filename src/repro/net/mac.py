@@ -13,7 +13,7 @@ import enum
 from collections import deque
 from typing import Deque, Iterable, Iterator, List, Optional, Tuple
 
-from repro.engine import Delay, Simulator, StatSet
+from repro.engine import Delay, Simulator
 from repro.faults.injector import NULL_INJECTOR, RX_DROP, RX_DUPLICATE
 from repro.net.ethernet import wire_bits
 from repro.net.mp import MacPacket, reassemble_mps, segment_packet
@@ -59,7 +59,13 @@ class MACPort:
         self.rx_buffer: Deque[MacPacket] = deque()
         self.tx_partial: List[MacPacket] = []
         self.transmitted: List[Packet] = []
-        self.stats = StatSet(f"port{port_id}")
+        # Counters.
+        self.rx_packets = 0
+        self.rx_mps = 0
+        self.rx_dropped_packets = 0
+        self.rx_fault_dropped = 0
+        self.tx_packets = 0
+        self.tx_bytes = 0
         #: The chip polling this port (set when it can park its idle
         #: input loop): told about frames in advance and on delivery.
         self.wake_listener = None
@@ -107,7 +113,7 @@ class MACPort:
                 if verdict == RX_DROP:
                     # Lost on the wire or behind a downed link: the frame
                     # never reaches the device buffer.
-                    self.stats.counter("rx_fault_dropped").add()
+                    self.rx_fault_dropped += 1
                     return False
                 if verdict == RX_DUPLICATE:
                     duplicate = packet.copy()
@@ -116,12 +122,12 @@ class MACPort:
                 # the frame arrives and must fail validation downstream.
         mps = segment_packet(packet, frame, port=self.port_id)
         if len(self.rx_buffer) + len(mps) > self.rx_buffer_mps:
-            self.stats.counter("rx_dropped_packets").add()
+            self.rx_dropped_packets += 1
             return False
         packet.meta["t_arrived"] = self.sim.now
         self.rx_buffer.extend(mps)
-        self.stats.counter("rx_packets").add()
-        self.stats.counter("rx_mps").add(len(mps))
+        self.rx_packets += 1
+        self.rx_mps += len(mps)
         if self.wake_listener is not None:
             self.wake_listener.rx_delivered()
         if duplicate is not None:
@@ -153,8 +159,8 @@ class MACPort:
         if mp.position.ends_packet:
             frame = reassemble_mps(self.tx_partial)
             self.tx_partial = []
-            self.stats.counter("tx_packets").add()
-            self.stats.counter("tx_bytes").add(len(frame))
+            self.tx_packets += 1
+            self.tx_bytes += len(frame)
             now = self.sim.now
             self._tx_wire_free_at = max(self._tx_wire_free_at, now) + self.frame_cycles(
                 len(frame) + 4
@@ -163,10 +169,6 @@ class MACPort:
                 self.transmitted.append(mp.packet)
             for listener in self.tx_listeners:
                 listener(mp.packet, frame)
-
-    @property
-    def tx_count(self) -> int:
-        return self.stats.counter("tx_packets").value
 
     def __repr__(self) -> str:
         return f"<MACPort {self.port_id} {self.speed.name}>"

@@ -75,10 +75,6 @@ class Packet:
         return FlowKey(self.ip.src, 0, self.ip.dst, 0)
 
     @property
-    def is_tcp(self) -> bool:
-        return self.tcp is not None
-
-    @property
     def has_ip_options(self) -> bool:
         return self.ip.has_options
 

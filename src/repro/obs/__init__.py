@@ -2,8 +2,10 @@
 
 Kept import-light on purpose: :mod:`repro.engine.sim` imports the null
 recorder from here, so this package must not (transitively) import the
-engine at module load.  The heavier pieces -- the periodic samplers
-(:mod:`repro.obs.accounting`), the profile scenarios
+engine at module load.  The heavier pieces -- the one sampling path
+and its probes (:mod:`repro.obs.metrics`: the periodic process
+``every``, the ``Deltas`` helper, the recorder's utilization probes and
+the topology metrics), the profile scenarios
 (:mod:`repro.obs.profile`), the trace analytics
 (:mod:`repro.obs.analysis`), the health watchdog
 (:mod:`repro.obs.monitor`) and the bench trajectory recorder
@@ -47,7 +49,6 @@ __all__ = [
     "trace_to_csv",
     # Lazy submodules (resolved on first attribute access, preserving
     # the import-light contract above).
-    "accounting",
     "analysis",
     "bench_record",
     "metrics",
@@ -55,8 +56,8 @@ __all__ = [
     "profile",
 ]
 
-_LAZY_SUBMODULES = ("accounting", "analysis", "bench_record", "metrics",
-                    "monitor", "profile")
+_LAZY_SUBMODULES = ("analysis", "bench_record", "metrics", "monitor",
+                    "profile")
 
 
 def __getattr__(name: str):

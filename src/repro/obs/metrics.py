@@ -25,19 +25,62 @@ The probes themselves are plain functions over duck-typed topology
 objects (links, router nodes, injectors) so this module stays free of
 topology imports -- :class:`repro.topo.network.Topology` wires them up
 via ``enable_metrics()``.
+
+Every periodic reader of simulator state runs on :func:`every` and
+differences its counters with :class:`Deltas`, as do the measurement
+windows.
 """
-# repro-lint: file-disable=RPR202 -- sampler probes only run inside the
-# periodic process, which is never spawned on a disabled run (the same
-# process-level gating as repro/obs/accounting.py).
+# repro-lint: file-disable=RPR202 -- probes only run inside a periodic
+# process, which is never spawned on a disabled run.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Tuple
+from typing import Any, Callable, Dict, Generator, List, Tuple
 
 from repro.obs.recorder import RingBuffer
 
 #: Cycles between samples unless the caller chooses otherwise.
 DEFAULT_METRICS_PERIOD = 5_000
+#: Cycles between the recorder's utilization samples by default.
+DEFAULT_SAMPLE_PERIOD = 2_000
+
+
+def every(sim, period: int, start: Callable[[], Callable[[int], None]]) -> Generator:
+    """The one periodic process: it calls ``start()`` at its first
+    step, where a probe takes its baseline reading, then the ``step(now)``
+    it returned every ``period`` cycles of *simulated* time.  Only spawned
+    for an enabled reader, so a disabled run carries no extra events."""
+    from repro.engine import delay
+
+    if period < 1:
+        raise ValueError(f"period must be >= 1, got {period}")
+    d = delay(period)
+    step = start()
+    while True:
+        yield d
+        step(sim.now)
+
+
+class Deltas:
+    """Each counter's movement since the previous reading of ``read()``
+    (a dict of cumulative counters; construction takes the first).
+    Calling makes the new reading the baseline; :meth:`peek` keeps it, so
+    a window reports the same numbers however often it is asked."""
+
+    __slots__ = ("_read", "last")
+
+    def __init__(self, read: Callable[[], Dict[Any, float]]):
+        self._read = read
+        self.last = read()
+
+    def __call__(self) -> Dict[Any, float]:
+        current = self._read()
+        last, self.last = self.last, current
+        return {k: v - last.get(k, 0) for k, v in current.items()}
+
+    def peek(self) -> Dict[Any, float]:
+        last = self.last
+        return {k: v - last.get(k, 0) for k, v in self._read().items()}
 
 
 class NullSampler:
@@ -161,10 +204,10 @@ class MetricsSampler:
 # Probes: read-only samplers over duck-typed topology objects.
 # ---------------------------------------------------------------------------
 #
-# Each probe factory captures its subject plus the previous counter
-# snapshot and returns a closure ``(sampler, cycle) -> None``.  Probes
-# must never mutate the simulation: the metrics-overhead bench asserts
-# an instrumented run's packet outcomes are bit-identical to a bare one.
+# Each probe factory reads its subject's baseline and returns a closure
+# ``(sampler, cycle) -> None``.  Probes must never mutate the
+# simulation: the metrics-overhead bench asserts an instrumented run's
+# packet outcomes are bit-identical to a bare one.
 
 
 def link_probe(link):
@@ -172,26 +215,25 @@ def link_probe(link):
     limit), carried / dropped frame deltas, serialization utilization
     (summed over both directions, so a full-duplex-busy link reads 2.0),
     and the up/down state."""
-    last = {"carried": 0, "dropped": 0, "serialized": 0}
+    counts = link.counts
+    moved = Deltas(lambda: {
+        "carried": counts["carried"],
+        "dropped": sum(counts[k] for k in
+                       ("dropped_down", "dropped_loss", "dropped_overflow")),
+        "serialized": getattr(link, "serialized_cycles", 0),
+    })
     subject = link.name
 
     def probe(sampler, cycle: int) -> None:
         limit = max(1, link.queue_limit)
         sampler.sample(f"link.{subject}.occupancy", cycle,
                        link.in_flight / limit)
-        carried = link.counts["carried"]
-        dropped = sum(link.counts[k] for k in
-                      ("dropped_down", "dropped_loss", "dropped_overflow"))
-        serialized = getattr(link, "serialized_cycles", 0)
-        sampler.sample(f"link.{subject}.carried", cycle,
-                       carried - last["carried"])
-        sampler.sample(f"link.{subject}.dropped", cycle,
-                       dropped - last["dropped"])
+        d = moved()
+        sampler.sample(f"link.{subject}.carried", cycle, d["carried"])
+        sampler.sample(f"link.{subject}.dropped", cycle, d["dropped"])
         sampler.sample(f"link.{subject}.utilization", cycle,
-                       (serialized - last["serialized"]) / sampler.period)
+                       d["serialized"] / sampler.period)
         sampler.sample(f"link.{subject}.up", cycle, 1.0 if link.up else 0.0)
-        last["carried"], last["dropped"] = carried, dropped
-        last["serialized"] = serialized
 
     return probe
 
@@ -200,20 +242,21 @@ def router_probe(node):
     """Per-router series: worst queue depth fraction, route-cache hit
     rate over the period, and SPF / LSA churn deltas."""
     cache = node.router.chip.route_cache
-    last = {"hits": 0, "misses": 0, "spf": 0, "lsas": 0}
+    moved = Deltas(lambda: {
+        "hits": cache.hits, "misses": cache.misses,
+        "spf": node.node.spf_runs, "lsas": node.node.lsas_processed,
+    })
     subject = node.name
 
     def probe(sampler, cycle: int) -> None:
         sampler.sample(f"router.{subject}.queue_depth", cycle,
                        node.router.chip.max_queue_depth_fraction())
-        hits, misses = cache.hits, cache.misses
-        looked_up = (hits - last["hits"]) + (misses - last["misses"])
-        rate = (hits - last["hits"]) / looked_up if looked_up else 0.0
+        d = moved()
+        looked_up = d["hits"] + d["misses"]
+        rate = d["hits"] / looked_up if looked_up else 0.0
         sampler.sample(f"router.{subject}.route_cache_hit_rate", cycle, rate)
-        spf, lsas = node.node.spf_runs, node.node.lsas_processed
-        sampler.sample(f"router.{subject}.spf_runs", cycle, spf - last["spf"])
-        sampler.sample(f"router.{subject}.lsas", cycle, lsas - last["lsas"])
-        last.update(hits=hits, misses=misses, spf=spf, lsas=lsas)
+        sampler.sample(f"router.{subject}.spf_runs", cycle, d["spf"])
+        sampler.sample(f"router.{subject}.lsas", cycle, d["lsas"])
 
     return probe
 
@@ -224,25 +267,19 @@ def control_probe(node):
     instantaneous unacked-LSA gauge (a sustained non-zero value is the
     retransmit-storm signature the monitor rule hunts)."""
     binding = node.binding
-    last = {"hellos": 0, "retransmits": 0, "rejected": 0, "deaths": 0}
+    moved = Deltas(lambda: {
+        "hellos": binding.hellos_received, "retransmits": binding.retransmits,
+        "rejected": binding.ctrl_rejected, "deaths": binding.neighbor_deaths,
+    })
     subject = node.name
 
     def probe(sampler, cycle: int) -> None:
-        hellos = binding.hellos_received
-        retransmits = binding.retransmits
-        rejected = binding.ctrl_rejected
-        deaths = binding.neighbor_deaths
-        sampler.sample(f"ctrl.{subject}.hellos", cycle,
-                       hellos - last["hellos"])
-        sampler.sample(f"ctrl.{subject}.retransmits", cycle,
-                       retransmits - last["retransmits"])
-        sampler.sample(f"ctrl.{subject}.rejected", cycle,
-                       rejected - last["rejected"])
-        sampler.sample(f"ctrl.{subject}.deaths", cycle,
-                       deaths - last["deaths"])
+        d = moved()
+        sampler.sample(f"ctrl.{subject}.hellos", cycle, d["hellos"])
+        sampler.sample(f"ctrl.{subject}.retransmits", cycle, d["retransmits"])
+        sampler.sample(f"ctrl.{subject}.rejected", cycle, d["rejected"])
+        sampler.sample(f"ctrl.{subject}.deaths", cycle, d["deaths"])
         sampler.sample(f"ctrl.{subject}.unacked", cycle, binding.unacked)
-        last.update(hellos=hellos, retransmits=retransmits,
-                    rejected=rejected, deaths=deaths)
 
     return probe
 
@@ -250,14 +287,12 @@ def control_probe(node):
 def fault_probe(topo):
     """Network-wide fault/recovery state: links currently down, incident
     log growth, reconvergence episodes completed, quarantined VRP flows."""
-    last = {"incidents": 0}
+    moved = Deltas(lambda: {"incidents": len(topo.incidents)})
 
     def probe(sampler, cycle: int) -> None:
         sampler.sample("net.links_down", cycle,
                        sum(1 for link in topo.links if not link.up))
-        incidents = len(topo.incidents)
-        sampler.sample("net.incidents", cycle, incidents - last["incidents"])
-        last["incidents"] = incidents
+        sampler.sample("net.incidents", cycle, moved()["incidents"])
         sampler.sample("net.reconvergences", cycle, len(topo.reconvergences))
         sampler.sample("net.quarantined", cycle, sum(
             node.router.quarantined_flows()
@@ -266,18 +301,65 @@ def fault_probe(topo):
     return probe
 
 
-def metrics_process(sim, sampler: MetricsSampler, probes) -> Generator:
-    """The periodic driver: run every probe each ``sampler.period``
-    cycles of *simulated* time.  Only ever spawned when metrics are
-    enabled, so a disabled run carries no extra events at all."""
-    from repro.engine import delay
+def chip_utilization(chip, recorder, period: int) -> Callable[[int], None]:
+    """The recorder's chip probe.  Each period: every engine's and
+    memory's busy cycles as a fraction of the period, the same cycles
+    into the recorder's accounting, and every packet queue's depth.  The
+    inlined main loops charge ``me.busy_cycles`` directly, so this is
+    how their busy time reaches the recorder."""
+    engines = [me for me in chip.engines if me.contexts]
+    dram, sram, scratch = chip.dram, chip.sram, chip.scratch
+    # Parked idle loops are charged lazily (repro.ixp.parking); each
+    # reading settles them first, and runs before the loops' own events
+    # of its cycle.
+    chip.settle(chip.sim.now)
+    busy = Deltas(lambda: {**{me.me_id: me.busy_cycles for me in engines},
+                           "dram": dram.busy_cycles, "sram": sram.busy_cycles,
+                           "scratch": scratch.busy_cycles})
 
-    d = delay(sampler.period)
-    while True:
-        yield d
-        now = sim.now
-        for probe in probes:
-            probe(sampler, now)
+    def step(now: int) -> None:
+        chip.settle(now)
+        moved = busy()
+        for me in engines:
+            util = moved[me.me_id] / period
+            recorder.sample_series(f"me{me.me_id}.utilization", now, util)
+            recorder.account(f"me{me.me_id}", "busy", util * period)
+        util = moved["dram"] / period
+        recorder.sample_series("dram.utilization", now, util)
+        recorder.account("dram", "busy", util * period)
+        util = moved["sram"] / period
+        recorder.sample_series("sram.utilization", now, util)
+        recorder.account("sram", "busy", util * period)
+        util = moved["scratch"] / period
+        recorder.sample_series("scratch.utilization", now, util)
+        recorder.account("scratch", "busy", util * period)
+        for queue in chip.bank.queues:
+            recorder.sample_queue(now, queue.queue_id, len(queue))
+
+    return step
+
+
+def host_utilization(router, recorder, period: int) -> Callable[[int], None]:
+    """The recorder's host probe.  Each period: StrongARM, PCI and
+    Pentium busy cycles as a fraction of the period, Pentium cycles
+    scaled to simulation cycles."""
+    strongarm, pci, pentium = router.strongarm, router.pci, router.pentium
+    busy = Deltas(lambda: {
+        "strongarm": strongarm.busy_cycles, "pci": pci.busy_cycles,
+        "pentium": 0.0 if pentium is None else pentium.busy_pentium_cycles,
+    })
+    scale = 0.0 if pentium is None else 1.0 / pentium.params.ratio
+
+    def step(now: int) -> None:
+        moved = busy()
+        recorder.sample_series("strongarm.utilization", now,
+                               moved["strongarm"] / period)
+        recorder.sample_series("pci.utilization", now, moved["pci"] / period)
+        if pentium is not None:
+            recorder.sample_series("pentium.utilization", now,
+                                   moved["pentium"] * scale / period)
+
+    return step
 
 
 def sampler_report(sampler, top_n: int = 5) -> Dict[str, Any]:

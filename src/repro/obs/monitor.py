@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.obs import export
+from repro.obs.metrics import Deltas, every
 from repro.obs.recorder import Recorder
 from repro.verdict import Verdict, inv
 
@@ -422,45 +423,37 @@ class HealthMonitor:
         self.last_results: List[RuleResult] = []
         self.last_sample: Optional[HealthSample] = None
         self._levels: Dict[str, str] = {}
-        self._counter_snapshot: Dict[str, int] = dict(chip.counters)
-        self._pci_busy_snapshot = 0 if router is None else router.pci.busy_cycles
-        self._wfq_snapshot: Dict[str, int] = self._wfq_packets()
-        self._faults_snapshot = self._faults_total()
-        self._ctrl_snapshot = self._ctrl_totals()
+        self._deltas = Deltas(self._counters)
         self._injector_drained = 0
-        self._last_cycle = chip.sim.now
-
-    def _faults_total(self) -> int:
-        if self.injector is None:
-            return 0
-        return sum(self.injector.counts.values())
-
-    def _ctrl_totals(self) -> Dict[str, int]:
-        binding = self._control_binding
-        if binding is None:
-            return {}
-        return {
-            "deaths": binding.neighbor_deaths,
-            "retransmits": binding.retransmits,
-            "abandoned": binding.abandoned,
-            "rejected": binding.ctrl_rejected,
-        }
 
     # -- sampling ---------------------------------------------------------
 
-    def _wfq_packets(self) -> Dict[str, int]:
-        wfq = None if self.router is None else self.router.config.wfq
-        if wfq is None:
-            return {}
-        return {name: cls.packets for name, cls in wfq.classes.items()}
+    def _counters(self) -> Dict[Any, float]:
+        """The cumulative counters the rules judge over a window."""
+        injector = self.injector
+        counters: Dict[Any, float] = {
+            **self.chip.counters, "cycle": self.chip.sim.now,
+            "faults": 0 if injector is None else sum(injector.counts.values())}
+        if self.router is not None:
+            counters["pci_busy"] = self.router.pci.busy_cycles
+            wfq = self.router.config.wfq
+            if wfq is not None:
+                for name, cls in wfq.classes.items():
+                    counters["wfq", name] = cls.packets
+        binding = self._control_binding
+        if binding is not None:
+            counters["ctrl_deaths"] = binding.neighbor_deaths
+            counters["ctrl_retransmits"] = binding.retransmits
+            counters["ctrl_abandoned"] = binding.abandoned
+            counters["ctrl_rejected"] = binding.ctrl_rejected
+        return counters
 
     def sample(self) -> HealthSample:
         """Snapshot the live state into a :class:`HealthSample`, as
         deltas over the window since the previous evaluation."""
         chip = self.chip
-        now = chip.sim.now
-        window = max(1, now - self._last_cycle)
-        deltas = chip.counter_deltas(self._counter_snapshot)
+        deltas = self._deltas.peek()
+        window = max(1, deltas["cycle"])
 
         vrp = chip.config.vrp
         vrp_cycles = vrp_sram = vrp_hashes = None
@@ -472,29 +465,16 @@ class HealthMonitor:
         pci_util = pentium_occ = None
         wfq_classes = None
         if self.router is not None:
-            pci_busy = self.router.pci.busy_cycles
-            pci_util = min(1.0, (pci_busy - self._pci_busy_snapshot) / window)
+            pci_util = min(1.0, deltas["pci_busy"] / window)
             pentium_occ = self.router.to_pentium.occupancy_fraction
             wfq = self.router.config.wfq
             if wfq is not None:
-                wfq_classes = {
-                    name: (cls.weight, cls.packets - self._wfq_snapshot.get(name, 0))
-                    for name, cls in wfq.classes.items()
-                }
+                wfq_classes = {name: (cls.weight, deltas["wfq", name])
+                               for name, cls in wfq.classes.items()}
 
-        ctrl_deaths = ctrl_retransmits = ctrl_abandoned = None
-        ctrl_rejected = ctrl_unacked = None
-        if self._control_binding is not None:
-            totals = self._ctrl_totals()
-            prev = self._ctrl_snapshot
-            ctrl_deaths = totals["deaths"] - prev.get("deaths", 0)
-            ctrl_retransmits = totals["retransmits"] - prev.get("retransmits", 0)
-            ctrl_abandoned = totals["abandoned"] - prev.get("abandoned", 0)
-            ctrl_rejected = totals["rejected"] - prev.get("rejected", 0)
-            ctrl_unacked = self._control_binding.unacked
-
+        binding = self._control_binding
         return HealthSample(
-            cycle=now,
+            cycle=chip.sim.now,
             window_cycles=window,
             input_mps=deltas.get("input_mps", 0),
             input_packets=deltas.get("input_packets", 0),
@@ -511,13 +491,13 @@ class HealthMonitor:
             budget_hashes=self.budget.hashes,
             wfq_classes=wfq_classes,
             dropped_events=self.recorder.dropped_events,
-            faults_injected=self._faults_total() - self._faults_snapshot,
+            faults_injected=deltas["faults"],
             faults_active=0 if self.injector is None else self.injector.active,
-            ctrl_neighbor_deaths=ctrl_deaths,
-            ctrl_retransmits=ctrl_retransmits,
-            ctrl_abandoned=ctrl_abandoned,
-            ctrl_rejected=ctrl_rejected,
-            ctrl_unacked=ctrl_unacked,
+            ctrl_neighbor_deaths=deltas.get("ctrl_deaths"),
+            ctrl_retransmits=deltas.get("ctrl_retransmits"),
+            ctrl_abandoned=deltas.get("ctrl_abandoned"),
+            ctrl_rejected=deltas.get("ctrl_rejected"),
+            ctrl_unacked=None if binding is None else binding.unacked,
         )
 
     # -- evaluation -------------------------------------------------------
@@ -558,13 +538,7 @@ class HealthMonitor:
         self.evaluations += 1
         self.last_results = results
         self.last_sample = sample
-        self._counter_snapshot = dict(self.chip.counters)
-        if self.router is not None:
-            self._pci_busy_snapshot = self.router.pci.busy_cycles
-        self._wfq_snapshot = self._wfq_packets()
-        self._faults_snapshot = self._faults_total()
-        self._ctrl_snapshot = self._ctrl_totals()
-        self._last_cycle = sample.cycle
+        self._deltas()  # the next window starts here
         return results
 
     def process(self, period: int = DEFAULT_PERIOD,
@@ -572,16 +546,13 @@ class HealthMonitor:
                 ) -> Generator:
         """A simulation process: evaluate every ``period`` cycles.  Spawn
         with ``sim.spawn(monitor.process(period), name="health-monitor")``."""
-        from repro.engine import delay
 
-        if period < 1:
-            raise ValueError(f"monitor period must be >= 1, got {period}")
-        d = delay(period)
-        while True:
-            yield d
+        def step(now: int) -> None:
             results = self.evaluate()
             if on_evaluate is not None:
                 on_evaluate(results)
+
+        return every(self.chip.sim, period, lambda: step)
 
     # -- reporting --------------------------------------------------------
 
@@ -600,7 +571,7 @@ class HealthMonitor:
         """The rendered health table for the CLI."""
         mark = {GREEN: "OK ", YELLOW: "WARN", RED: "RED "}
         lines = [
-            f"== router health -- cycle {self._last_cycle}, "
+            f"== router health -- cycle {self._deltas.last['cycle']}, "
             f"{self.evaluations} evaluations, "
             f"{len(self.incidents)} incidents ==",
             f"{'rule':<17} {'state':<5} {'value':>9}  detail",

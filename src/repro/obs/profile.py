@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs import export
-from repro.obs.recorder import Recorder, TraceEvent
+from repro.obs.metrics import Deltas
+from repro.obs.recorder import Recorder, TraceEvent, window_fractions
 
 # Paper Table 2, for the side-by-side column: register cycles and
 # (reads, writes) per MP for each memory.
@@ -148,39 +149,46 @@ def _collect(chip, recorder: Recorder, scenario: str, window: int, warmup: int,
     counters + the recorder's contents into a :class:`ProfileResult`."""
     sim = chip.sim
     memories = {"dram": chip.dram, "sram": chip.sram, "scratch": chip.scratch}
-    state: Dict[str, Any] = {}
+
+    counts = Deltas(lambda: {
+        **{f"me{me.me_id}": me.busy_cycles for me in chip.engines},
+        **{name: mem.busy_cycles for name, mem in memories.items()},
+        **{(name, tag, op): count for name, mem in memories.items()
+           for (tag, op), count in mem.access_counts.items()}})
+    charged = Deltas(lambda: {
+        (component, state): cycles
+        for component, states in recorder.accounting.items()
+        for state, cycles in states.items()})
 
     def open_window() -> None:
         chip.start_window()
         chip.settle(sim.now)
-        state["busy"] = [me.busy_cycles for me in chip.engines]
-        state["counts"] = {name: dict(mem.access_counts) for name, mem in memories.items()}
+        counts()  # these readings are the window's baseline
+        charged()
 
     sim.schedule(warmup, open_window)
     sim.run(until=sim.now + warmup + window)
     chip.settle(sim.now + 1)
     m = chip.report()
+    moved = counts.peek()
 
     # Per-stage measured memory references over the window.
     refs: Dict[str, Dict[str, float]] = {}
-    for mem_name, mem in memories.items():
-        before = state["counts"][mem_name]
-        for (tag, op), count in mem.access_counts.items():
-            delta = count - before.get((tag, op), 0)
-            if delta <= 0:
-                continue
-            stage = stage_of_tag(tag)
-            refs.setdefault(stage, {})
-            key = f"{mem_name}.{op}"
-            refs[stage][key] = refs[stage].get(key, 0.0) + delta
+    for key, delta in moved.items():
+        if not isinstance(key, tuple) or delta <= 0:
+            continue
+        mem_name, tag, op = key
+        stage = stage_of_tag(tag)
+        refs.setdefault(stage, {})
+        ref = f"{mem_name}.{op}"
+        refs[stage][ref] = refs[stage].get(ref, 0.0) + delta
 
     # Per-stage engine busy cycles over the window.
     input_mes = {ctx.me.me_id for ctx in chip.input_contexts}
     output_mes = {ctx.me.me_id for ctx in chip.output_contexts}
-    busy_delta = [me.busy_cycles - state["busy"][i] for i, me in enumerate(chip.engines)]
     busy_of = {
-        "input": sum(busy_delta[i] for i in input_mes),
-        "output": sum(busy_delta[i] for i in output_mes),
+        "input": sum(moved[f"me{i}"] for i in input_mes),
+        "output": sum(moved[f"me{i}"] for i in output_mes),
     }
 
     cost = chip.params.cost
@@ -228,6 +236,18 @@ def _collect(chip, recorder: Recorder, scenario: str, window: int, warmup: int,
     if extra_throughput is not None:
         throughput.update(extra_throughput())
 
+    # Utilization covers the window only.  The hooks charge contexts and
+    # hosts as the work happens, so theirs is the accounting's movement;
+    # the sampler charges engines and memories one period at a time, so
+    # theirs is the busy counters' movement.
+    accounting: Dict[str, Dict[str, float]] = {}
+    for (component, state), cycles in charged.peek().items():
+        accounting.setdefault(component, {})[state] = cycles
+    for component in accounting:
+        if component in moved:
+            accounting[component] = {"busy": moved[component]}
+    utilization = window_fractions(accounting, m.window_cycles)
+
     events = recorder.events.to_list()
     notes: List[str] = []
     if recorder.dropped_events:
@@ -241,7 +261,7 @@ def _collect(chip, recorder: Recorder, scenario: str, window: int, warmup: int,
         window_cycles=m.window_cycles,
         stages=stages,
         throughput=throughput,
-        utilization=recorder.utilization(m.window_cycles),
+        utilization=utilization,
         queue_stats=recorder.queue_depth_stats(),
         trace=recorder.to_dict(),
         trace_hash=export.trace_hash(events),

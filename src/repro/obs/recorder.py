@@ -22,6 +22,22 @@ from __future__ import annotations
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 
+def window_fractions(accounting: Dict[str, Dict[str, float]],
+                     window_cycles: int) -> Dict[str, Dict[str, float]]:
+    """Cycle accounting normalized by a measurement window: each component
+    gets busy/idle fractions (idle derived as the remainder when the
+    attributed states do not already cover the window)."""
+    out: Dict[str, Dict[str, float]] = {}
+    if window_cycles <= 0:
+        return out
+    for component, states in accounting.items():
+        fractions = {state: cycles / window_cycles for state, cycles in states.items()}
+        covered = sum(v for k, v in fractions.items() if k != "idle")
+        fractions.setdefault("idle", max(0.0, 1.0 - covered))
+        out[component] = fractions
+    return out
+
+
 class TraceEvent(NamedTuple):
     """One span of a packet's lifecycle (or a component-level marker)."""
 
@@ -210,18 +226,9 @@ class Recorder:
         return out
 
     def utilization(self, window_cycles: int) -> Dict[str, Dict[str, float]]:
-        """Accounting normalized by a measurement window: each component
-        gets busy/idle fractions (idle derived as the remainder when the
-        attributed states do not already cover the window)."""
-        out: Dict[str, Dict[str, float]] = {}
-        if window_cycles <= 0:
-            return out
-        for component, states in self.accounting.items():
-            fractions = {state: cycles / window_cycles for state, cycles in states.items()}
-            covered = sum(v for k, v in fractions.items() if k != "idle")
-            fractions.setdefault("idle", max(0.0, 1.0 - covered))
-            out[component] = fractions
-        return out
+        """The accounting normalized by a measurement window (see
+        :func:`window_fractions`)."""
+        return window_fractions(self.accounting, window_cycles)
 
     def queue_depth_stats(self) -> Dict[int, Dict[str, float]]:
         """Per-queue occupancy summary from the sampled series."""

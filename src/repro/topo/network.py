@@ -50,8 +50,8 @@ from repro.net.ip import PROTO_ICMP
 from repro.net.packet import Packet, make_tcp_packet
 from repro.obs import export
 from repro.obs.metrics import (DEFAULT_METRICS_PERIOD, NULL_SAMPLER,
-                               MetricsSampler, control_probe, fault_probe,
-                               link_probe, metrics_process, router_probe)
+                               MetricsSampler, control_probe, every,
+                               fault_probe, link_probe, router_probe)
 from repro.topo.tracing import NULL_TRACER, NetTracer
 
 #: Cycle clock shared with the routers (200 MHz IXP1200 core clock).
@@ -170,10 +170,6 @@ class InterRouterLink:
             raise RuntimeError(f"link {self.name} already has two endpoints")
         self._ends.append(end)
         return len(self._ends) - 1
-
-    def index_of(self, node) -> int:
-        """Which end a RouterNode sits on (for control-packet injection)."""
-        return self.nodes.index(node)
 
     def serialization_cycles(self, frame_len: int) -> int:
         if not self.bandwidth_bps:
@@ -325,10 +321,6 @@ class RouterNode:
         self._next_port = 0
         self._next_network = 0
 
-    @property
-    def control_address(self) -> str:
-        return self.router.config.router_address
-
     def allocate_port(self) -> int:
         if self._next_port >= len(self.router.ports):
             raise RuntimeError(
@@ -352,9 +344,9 @@ class RouterNode:
         snap["route_withdrawals"] = self.binding.route_withdrawals
         snap["ctrl"] = self.binding.control_stats()
         snap["rx_dropped_packets"] = sum(
-            p.stats.counter("rx_dropped_packets").value for p in self.router.ports)
+            p.rx_dropped_packets for p in self.router.ports)
         snap["rx_fault_dropped"] = sum(
-            p.stats.counter("rx_fault_dropped").value for p in self.router.ports)
+            p.rx_fault_dropped for p in self.router.ports)
         snap["trace_dropped_events"] = (
             self.recorder.dropped_events if self.recorder is not None else 0)
         return snap
@@ -900,7 +892,12 @@ class Topology:
         probes.extend(control_probe(self.nodes[name])
                       for name in sorted(self.nodes))
         probes.append(fault_probe(self))
-        self.sim.spawn(metrics_process(self.sim, sampler, probes),
+
+        def step(now: int) -> None:
+            for probe in probes:
+                probe(sampler, now)
+
+        self.sim.spawn(every(self.sim, period, lambda: step),
                        name="topo-metrics-sampler")
         self.metrics = sampler
         return sampler

@@ -30,6 +30,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.control.channel import DEFAULT_MAX_ATTEMPTS
 from repro.obs import export
+from repro.obs.metrics import Deltas
 from repro.topo.network import LOGGED_KINDS, Topology
 from repro.verdict import Verdict, inv, invariant_table
 
@@ -276,8 +277,9 @@ def _scenario_route_churn(seed: int, window: int, warmup: int,
     inj = topo.injector
     converge_cycles = topo.converge(max_cycles=CONVERGE_HORIZON)
 
-    spf_before = {n: topo.nodes[n].node.spf_runs for n in topo.nodes}
-    messages_before = topo.control_messages
+    churn = Deltas(lambda: {
+        "messages": topo.control_messages,
+        **{("spf", n): topo.nodes[n].node.spf_runs for n in topo.nodes}})
     edges = sum(1 for link in topo.links if link.nodes)
 
     # Compose a per-node fault on top of the churn: 1% ingress drop at
@@ -304,10 +306,10 @@ def _scenario_route_churn(seed: int, window: int, warmup: int,
     topo.run(warmup + window)
 
     h3 = topo.hosts["h3"]
-    spf_growth = max(topo.nodes[n].node.spf_runs - spf_before[n]
-                     for n in topo.nodes)
+    moved = churn()
+    spf_growth = max(moved[("spf", n)] for n in topo.nodes)
     spf_bound = 8 * CHURN_FLAPS
-    messages = topo.control_messages - messages_before
+    messages = moved["messages"]
     # Each flap edge event re-originates 2 LSAs; reliable flooding with
     # duplicate suppression sends each over at most every directed edge.
     # Each restore additionally database-syncs the full LSDB across the

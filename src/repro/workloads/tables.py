@@ -20,7 +20,7 @@ million identical MAC objects.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.net.addresses import IPv4Address, MACAddress
 
@@ -160,8 +160,3 @@ def destinations_for(
         host = rng.getrandbits(span) if span else 0
         out.append(base | host)
     return out
-
-
-def iter_destinations(specs: Sequence[PrefixSpec], seed: int = 0) -> Iterator[int]:
-    for addr in destinations_for(specs, seed=seed):
-        yield addr

@@ -496,6 +496,29 @@ def test_stop_halts_run():
     assert fired == [1, 2]
 
 
+@pytest.mark.parametrize("scheduler", ["calendar", "heap"])
+def test_run_until_behind_now_is_rejected(scheduler):
+    """A run cut by ``max_events`` can leave ``now`` past a later
+    ``until``; the clock must not run backwards, and the pending wake
+    keeps its cycle."""
+    sim = Simulator(scheduler=scheduler)
+    woke = []
+
+    def proc():
+        yield Delay(100)
+        yield Delay(1000)
+        woke.append(sim.now)
+
+    sim.spawn(proc())
+    sim.run(max_events=2)
+    assert sim.now == 100
+    with pytest.raises(SimulationError):
+        sim.run(until=76)
+    assert sim.now == 100
+    sim.run()
+    assert woke == [1100]
+
+
 def test_spawn_all_names_processes():
     sim = Simulator()
 

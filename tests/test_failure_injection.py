@@ -50,7 +50,7 @@ def test_queue_overflow_counted_not_crashed():
     stats = router.stats()
     delivered = len(router.transmitted(2))
     dropped = sum(q.dropped for q in router.chip.bank.queues_for_port(2))
-    rx_dropped = router.ports[9].stats.counter("rx_dropped_packets").value
+    rx_dropped = router.ports[9].rx_dropped_packets
     assert delivered + dropped + rx_dropped == 120
     assert delivered > 0
 
@@ -103,7 +103,7 @@ def test_buffer_overwrite_loses_only_stale_packets():
     assert len(router.transmitted(1)) > 0     # but service continued
     assert stats["lost_buffers"] + len(router.transmitted(1)) \
         + sum(q.dropped for q in router.chip.bank.queues_for_port(1)) \
-        + router.ports[8].stats.counter("rx_dropped_packets").value \
+        + router.ports[8].rx_dropped_packets \
         + len(router.chip.bank.queues_for_port(1)[0]) == 200
 
 

@@ -392,11 +392,15 @@ def test_rpr305_split_prefix_template_fails():
 
 def test_rpr305_clean_registered_names():
     clean("""\
-        def probe(sampler, link, node, cycle):
+        def probe(sampler, recorder, link, node, me, cycle):
             if sampler.enabled:
                 sampler.sample("net.links_down", cycle, 1.0)
                 sampler.sample(f"link.{link.name}.occupancy", cycle, 0.5)
                 sampler.sample(f"router.{node.name}.queue_depth", cycle, 0.25)
+            if recorder.enabled:
+                recorder.sample_series(f"me{me.me_id}.utilization", cycle, 0.5)
+                recorder.sample_series("dram.utilization", cycle, 0.5)
+                recorder.sample_series("pentium.utilization", cycle, 0.5)
         """)
 
 
@@ -409,6 +413,26 @@ def test_rpr305_fires_via_metrics_attr_receiver():
     assert v.code == "RPR305"
 
 
+def test_rpr305_checks_recorder_sample_series_sites():
+    v = one("""\
+        def step(recorder, now):
+            if recorder.enabled:
+                recorder.sample_series("drum.utilization", now, 0.5)
+        """)
+    assert (v.code, v.line) == ("RPR305", 3)
+    assert "drum.utilization" in v.message
+
+
+def test_rpr305_sample_series_split_prefix_template_fails():
+    v = one("""\
+        def step(rec, name, now):
+            if rec.enabled:
+                rec.sample_series(f"{name}.utilization", now, 0.5)
+        """)
+    assert (v.code, v.line) == ("RPR305", 3)
+    assert "x.utilization" in v.message
+
+
 def test_registry_helpers():
     assert events.is_trace_event("mac_in")
     assert not events.is_trace_event("warp_drive")
@@ -418,6 +442,9 @@ def test_registry_helpers():
     assert events.is_metric_series("link.r1-r2.occupancy")
     assert events.is_metric_series("router.r3.spf_runs")
     assert not events.is_metric_series("link.r1-r2.wobble")
+    assert events.is_metric_series("me4.utilization")
+    assert events.is_metric_series("sram.utilization")
+    assert not events.is_metric_series("x.utilization")
     assert not events.is_metric_series("net.warp_factor")
     assert events.unregistered_metric_series(
         ["net.incidents", "bogus", "bogus", "link.a.up"]) == ["bogus"]

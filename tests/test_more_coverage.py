@@ -91,9 +91,15 @@ def test_chip_start_window_resets_memory_accounting():
 
     chip = IXP1200(ChipConfig())
     chip.sim.run(until=20_000)
-    assert chip.dram.busy_cycles > 0
+    busy = chip.dram.busy_cycles
+    assert busy > 0
     chip.start_window()
-    assert chip.dram.busy_cycles == 0
+    # The window's memory accounting starts over; the counter itself is
+    # left alone for every other reader.
+    assert chip.dram.busy_cycles == busy
+    assert chip.report().dram_utilization == 0.0
+    chip.sim.run(until=30_000)
+    assert chip.report().dram_utilization == (chip.dram.busy_cycles - busy) / 10_000
 
 
 def test_exceptional_flood_drops_counted_per_queue():

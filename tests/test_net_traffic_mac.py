@@ -108,7 +108,7 @@ def test_rx_pacing_at_line_speed():
     port = MACPort(sim, 0, PortSpeed.MBPS_100, clock_hz=200e6, rx_buffer_mps=10_000)
     port.attach_source(uniform_flood(10, num_ports=1))
     sim.run()
-    assert port.stats.counter("rx_packets").value == 10
+    assert port.rx_packets == 10
     # 10 min-sized frames at 100 Mbps -> 13440 cycles.
     assert sim.now == 13_440
 
@@ -120,7 +120,7 @@ def test_rx_buffer_overflow_drops():
     assert port.deliver(packets[0])
     assert port.deliver(packets[1])
     assert not port.deliver(packets[2])  # buffer full -> drop
-    assert port.stats.counter("rx_dropped_packets").value == 1
+    assert port.rx_dropped_packets == 1
 
 
 def test_port_rdy_and_take_mp():
@@ -143,5 +143,5 @@ def test_tx_reassembles_and_counts():
 
     for mp in segment_packet(packet):
         port.put_mp(mp)
-    assert port.tx_count == 1
+    assert port.tx_packets == 1
     assert port.transmitted == [packet]

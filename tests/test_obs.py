@@ -299,6 +299,44 @@ def test_profile_unknown_scenario_raises():
         profile_scenario("warp-speed")
 
 
+@pytest.mark.parametrize("window,warmup", [(40_000, 10_000), (5_000, 20_000)])
+@pytest.mark.parametrize("name", ["fastpath", "vrp", "router", "overload"])
+def test_profile_utilization_covers_the_window_only(name, window, warmup):
+    """Opening the window resets no counter the sampler differences: no
+    utilization sample goes negative; every component's fractions, the
+    engine contexts' and hosts' included, lie in [0, 1] and add up to 1
+    even for a window shorter than the warm-up; and each engine's busy
+    fraction is its exact busy-cycle movement over the window, warm-up
+    excluded."""
+    from repro.obs.profile import build_scenario, profile_scenario
+
+    result = profile_scenario(name, window=window, warmup=warmup)
+    for series in result.trace["timeseries"].values():
+        assert all(value >= 0 for __, value in series)
+    assert "me0.ctx0" in result.utilization
+    for fractions in result.utilization.values():
+        assert all(0.0 <= value <= 1.0 for value in fractions.values())
+        assert sum(fractions.values()) == pytest.approx(1.0)
+
+    # The same run replayed by hand, reading the engines when the window
+    # opens and when it closes.
+    run = build_scenario(name)
+    chip, sim = run.chip, run.sim
+    opened = {}
+
+    def open_window():
+        chip.settle(sim.now)
+        opened.update((me.me_id, me.busy_cycles) for me in chip.engines)
+
+    sim.schedule(warmup, open_window)
+    sim.run(until=warmup + window)
+    chip.settle(sim.now + 1)
+    for me in chip.engines:
+        if me.contexts:
+            exact = (me.busy_cycles - opened[me.me_id]) / window
+            assert result.utilization[f"me{me.me_id}"]["busy"] == exact
+
+
 def test_profile_cli_writes_valid_trace_json(tmp_path, capsys):
     from repro.cli import main
 

@@ -135,6 +135,21 @@ def test_every_probe_series_is_registered(metered):
     assert events.unregistered_metric_series(names) == []
 
 
+def test_every_recorder_series_is_registered(metered):
+    """The recorder's utilization series resolve against the same
+    registry: the runtime mirror of RPR305 on ``sample_series`` sites."""
+    from repro.obs.profile import profile_scenario
+
+    names = set(profile_scenario("router", window=20_000,
+                                 warmup=5_000).trace["timeseries"])
+    for node in metered.topo.nodes.values():
+        names.update(node.recorder.timeseries)
+    assert {"me0.utilization", "dram.utilization", "scratch.utilization",
+            "strongarm.utilization", "pci.utilization",
+            "pentium.utilization"} <= names
+    assert events.unregistered_metric_series(sorted(names)) == []
+
+
 def test_probe_series_cover_links_routers_and_network(metered):
     topo = metered.topo
     names = set(topo.metrics.series_names())
