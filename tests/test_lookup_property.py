@@ -131,3 +131,73 @@ def test_randomized_ops_agree_with_mirror(backend, kwargs):
     # Final dense sweep: the structure and mirror agree everywhere sampled.
     for __ in range(500):
         check(rng.getrandbits(32))
+
+
+def _trie_shape(node):
+    """Every slot of a CPE node and, recursively, of the children it
+    links (``None`` where no child exists)."""
+    return (list(node.entries),
+            [None if child is None else _trie_shape(child) for child in node.children])
+
+
+def _structure(table):
+    if table.backend_name == "cpe":
+        return _trie_shape(table._root)
+    return table._short, table._long
+
+
+@pytest.mark.parametrize(
+    "backend,kwargs", CONFIGS,
+    ids=["cpe-16-8-8", "cpe-8x4", "cpe-16-8-4-4", "bidirectional"])
+def test_withdrawal_leaves_the_structure_of_a_fresh_load(backend, kwargs):
+    """After any mix of adds, reprograms and withdrawals, inside and
+    outside ``bulk()``, the structure equals a fresh bulk load of the
+    surviving routes: same CPE nodes and slots (or bidirectional stages),
+    and the same memory probes on a fixed probe set -- the probes that
+    ``avg_probes`` and the modeled miss-path cycles count."""
+    rng = random.Random(f"withdraw-structure:{backend}:{sorted(kwargs.items())}")
+    # Clustered prefixes: routes share their top bits with one of three
+    # anchors, so covering routes, child nodes and /0../32 nest often.
+    anchors = [rng.getrandbits(32) for __ in range(3)]
+    lengths = (0, 1, 7, 8, 9, 15, 16, 17, 20, 23, 24, 25, 27, 28, 29, 31, 32)
+
+    def draw(bits: int = 32) -> int:
+        return rng.choice(anchors) ^ rng.getrandbits(rng.randrange(bits + 1))
+
+    probe_set = [IPv4Address(draw()) for __ in range(200)]
+    probe_set += [IPv4Address(rng.getrandbits(32)) for __ in range(50)]
+    table = make_routing_table(backend, **kwargs)
+    live = []
+
+    def mutate() -> None:
+        # Withdrawals balance adds near 16 live routes.
+        if rng.random() < len(live) / (len(live) + 20):
+            key = live.pop(rng.randrange(len(live)))
+            table.remove(str(IPv4Address(key[0])), key[1])
+        elif live and rng.random() < 0.2:
+            value, length = live[rng.randrange(len(live))]
+            table.add(str(IPv4Address(value)), length, rng.randrange(16))
+        else:
+            length = rng.choice(lengths)
+            value = draw() & _mask(length)
+            if (value, length) not in live:
+                live.append((value, length))
+            table.add(str(IPv4Address(value)), length, rng.randrange(16))
+
+    for batch in range(80):
+        if rng.random() < 0.5:
+            with table.bulk():
+                for __ in range(rng.randrange(1, 12)):
+                    mutate()
+        else:
+            for __ in range(rng.randrange(1, 12)):
+                mutate()
+        fresh = make_routing_table(backend, **kwargs)
+        fresh.add_many((str(r.prefix), r.length, r.out_port, r.next_hop_mac)
+                       for r in table.routes)
+        assert len(table) == len(live)
+        assert _structure(table) == _structure(fresh), f"batch {batch}"
+        probes, fresh_probes = table.probes, fresh.probes
+        for addr in probe_set:
+            assert table.lookup(addr) == fresh.lookup(addr)
+        assert table.probes - probes == fresh.probes - fresh_probes
