@@ -30,8 +30,9 @@ the fast structures.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from itertools import accumulate
 from typing import (Dict, Iterable, List, NamedTuple, Optional, Protocol,
-                    Sequence, Tuple, runtime_checkable)
+                    Sequence, Tuple, Union, runtime_checkable)
 
 from repro.net.addresses import IPv4Address, MACAddress
 
@@ -64,10 +65,10 @@ class LookupBackend(Protocol):
 
     generation: int
 
-    def add(self, prefix: str, length: int, out_port: int,
+    def add(self, prefix: Union[str, int], length: int, out_port: int,
             next_hop_mac: Optional[MACAddress] = None) -> Route: ...
 
-    def remove(self, prefix: str, length: int) -> Route: ...
+    def remove(self, prefix: Union[str, int], length: int) -> Route: ...
 
     def lookup(self, addr: IPv4Address) -> Optional[Route]: ...
 
@@ -81,10 +82,11 @@ class BaseRoutingTable:
 
     Routes live in a dict keyed by the masked ``(prefix_value, length)``
     pair, so re-adding a covering prefix *replaces* it (a control-plane
-    reprogram) and :meth:`remove` can withdraw it again.  Subclasses
-    implement the fast structure: ``_reset_structures``, ``_insert``,
-    ``lookup`` and optionally ``_withdraw`` (the default withdrawal is a
-    conservative full rebuild, batched to once per bulk block).
+    reprogram) and :meth:`remove` can withdraw it again.  A prefix is a
+    dotted string or its integer value.  Subclasses implement the fast
+    structure: ``_reset_structures``, ``_insert``, ``_withdraw`` and
+    ``lookup``.  Both update it in place, and leave exactly the
+    structure a fresh load of the same routes would build.
     """
 
     backend_name = "base"
@@ -95,7 +97,6 @@ class BaseRoutingTable:
         self._listeners: List = []
         self._bulk_depth = 0
         self._dirty = False
-        self._needs_rebuild = False
         # Miss-path instrumentation: memory probes per full lookup.
         self.lookups = 0
         self.probes = 0
@@ -126,7 +127,7 @@ class BaseRoutingTable:
         shift = 32 - length
         return (value >> shift << shift, length)
 
-    def has(self, prefix: str, length: int) -> bool:
+    def has(self, prefix: Union[str, int], length: int) -> bool:
         return self._key(IPv4Address(prefix).value, length) in self._routes
 
     def _touch(self) -> None:
@@ -140,39 +141,33 @@ class BaseRoutingTable:
     @contextmanager
     def bulk(self):
         """Batch a burst of adds/removes into ONE generation bump and ONE
-        listener fire (and at most one structure rebuild).  Programming N
-        routes used to fire the cache-invalidation listeners N times --
-        fatal at 100k-prefix loads and during route churn."""
+        listener fire.  The structure itself changes with each call, so a
+        lookup inside the block already sees it.  Programming N routes
+        used to fire the cache-invalidation listeners N times -- fatal at
+        100k-prefix loads and during route churn."""
         self._bulk_depth += 1
         try:
             yield self
         finally:
             self._bulk_depth -= 1
-            if self._bulk_depth == 0:
-                if self._needs_rebuild:
-                    self._needs_rebuild = False
-                    self._rebuild()
-                if self._dirty:
-                    self._dirty = False
-                    self.generation += 1
-                    for callback in self._listeners:
-                        callback()
+            if self._bulk_depth == 0 and self._dirty:
+                self._dirty = False
+                self.generation += 1
+                for callback in self._listeners:
+                    callback()
 
     # -- mutation --------------------------------------------------------------
 
-    def add(self, prefix: str, length: int, out_port: int,
+    def add(self, prefix: Union[str, int], length: int, out_port: int,
             next_hop_mac: Optional[MACAddress] = None) -> Route:
         addr = IPv4Address(prefix)
-        key = self._key(addr.value, length)
         route = Route(addr, length, next_hop_mac or MACAddress.for_port(out_port),
                       out_port)
         # Re-adding an existing (prefix, length) is a *reprogram* -- the
-        # control plane does this on every reconvergence -- so the old
-        # entry must go, or the fast structure and the linear reference
-        # would disagree about which Route wins.
-        replacing = key in self._routes
-        self._routes[key] = route
-        self._insert(route, replacing)
+        # control plane does this on every reconvergence -- so the new
+        # Route replaces the old one here and in every slot it held.
+        self._routes[self._key(addr.value, length)] = route
+        self._insert(route)
         self._touch()
         return route
 
@@ -189,7 +184,7 @@ class BaseRoutingTable:
     def add_default(self, out_port: int) -> Route:
         return self.add("0.0.0.0", 0, out_port)
 
-    def remove(self, prefix: str, length: int) -> Route:
+    def remove(self, prefix: Union[str, int], length: int) -> Route:
         """Withdraw a route (control-plane route withdrawal).  Raises
         ``KeyError`` when no such (prefix, length) is installed."""
         key = self._key(IPv4Address(prefix).value, length)
@@ -200,32 +195,35 @@ class BaseRoutingTable:
         self._touch()
         return route
 
-    def discard(self, prefix: str, length: int) -> Optional[Route]:
+    def discard(self, prefix: Union[str, int], length: int) -> Optional[Route]:
         """Like :meth:`remove`, but returns None when absent."""
         try:
             return self.remove(prefix, length)
         except KeyError:
             return None
 
-    def _withdraw(self, route: Route) -> None:
-        # Conservative default: rebuild the fast structure from the
-        # surviving routes (once per bulk block).
-        if self._bulk_depth:
-            self._needs_rebuild = True
-        else:
-            self._rebuild()
-
-    def _rebuild(self) -> None:
-        self._reset_structures()
-        for route in self._routes.values():
-            self._insert(route, False)
+    def _covering(self, route: Route) -> Optional[Route]:
+        """The longest installed route shorter than ``route`` that covers
+        its prefix: what a slot held by ``route`` falls back to when
+        ``route`` is withdrawn.  (Kept apart from ``lookup_reference``,
+        the oracle the structures are checked against.)"""
+        value, routes = route.prefix.value, self._routes
+        for length in range(route.length - 1, -1, -1):
+            shift = 32 - length
+            covering = routes.get((value >> shift << shift, length))
+            if covering is not None:
+                return covering
+        return None
 
     # -- structure hooks (subclass responsibility) ----------------------------
 
     def _reset_structures(self) -> None:
         raise NotImplementedError
 
-    def _insert(self, route: Route, replacing: bool) -> None:
+    def _insert(self, route: Route) -> None:
+        raise NotImplementedError
+
+    def _withdraw(self, route: Route) -> None:
         raise NotImplementedError
 
     def lookup(self, addr: IPv4Address) -> Optional[Route]:
@@ -281,8 +279,8 @@ class BaseRoutingTable:
 class _TrieNode:
     __slots__ = ("entries", "children")
 
-    def __init__(self, size: int):
-        self.entries: List[Optional[Route]] = [None] * size
+    def __init__(self, size: int, route: Optional[Route] = None):
+        self.entries: List[Optional[Route]] = [route] * size
         self.children: List[Optional["_TrieNode"]] = [None] * size
 
 
@@ -291,6 +289,12 @@ class RoutingTable(BaseRoutingTable):
 
     ``strides`` controls the expansion levels; the default (16, 8, 8)
     is the classic configuration giving at most three memory probes.
+
+    Each slot holds the longest covering route whose length is within
+    its level's boundary, and a child node exists exactly where some
+    route longer than its parent's boundary lies beneath it.  Insertion
+    and withdrawal both keep that shape, so it depends on the route set
+    alone -- and so does the probe count of every lookup.
     """
 
     backend_name = "cpe"
@@ -302,63 +306,59 @@ class RoutingTable(BaseRoutingTable):
         if any(s <= 0 for s in strides):
             raise ValueError("strides must be positive")
         self.strides = tuple(strides)
+        #: prefix bits consumed once each level's slot is chosen
+        self._bounds = tuple(accumulate(self.strides))
         super().__init__()
 
     def _reset_structures(self) -> None:
         self._root = _TrieNode(1 << self.strides[0])
 
-    def _insert(self, route: Route, replacing: bool) -> None:
-        """Controlled prefix expansion: descend to the level whose stride
-        boundary covers the prefix (creating nodes on the way), then
-        expand the prefix across that node's matching slots, overriding
-        only strictly-shorter existing entries."""
+    def _locate(self, route: Route
+                ) -> Tuple[List[Tuple[_TrieNode, int]], _TrieNode, int, int]:
+        """Walk from the root to the node whose level holds ``route``.
+        Returns the steps taken, step ``i`` leaving the level-``i`` node
+        through ``slot`` as ``(node, slot)``; the node reached; and the
+        slots ``lo``..``hi`` of it that the prefix expands to (controlled
+        prefix expansion; every root slot for a /0).  A missing node is
+        created on the way, seeded with the covering route of the slot
+        it hangs from; a withdrawal finds every node of its path."""
         value, length = route.prefix.value, route.length
-        strides = self.strides
+        strides, bounds = self.strides, self._bounds
+        path = []
         node = self._root
-        level = bits_consumed = 0
-        stride = strides[0]
-        while length > bits_consumed + stride:
-            bits_consumed += stride
-            slot = (value >> (32 - bits_consumed)) & ((1 << stride) - 1)
+        level = 0
+        while length > bounds[level]:
+            slot = (value >> (32 - bounds[level])) & ((1 << strides[level]) - 1)
+            path.append((node, slot))
             child = node.children[slot]
             if child is None:
-                child = _TrieNode(1 << strides[level + 1])
-                # Seed the child with the covering route from this slot.
-                covering = node.entries[slot]
-                if covering is not None:
-                    self._push_down(child, covering, level + 1)
-                node.children[slot] = child
+                child = node.children[slot] = _TrieNode(
+                    1 << strides[level + 1], node.entries[slot])
             node = child
             level += 1
-            stride = strides[level]
-        # Expand within this node: all slots whose top bits match (every
-        # slot of the root for a /0).
-        span_bits = length - bits_consumed
-        base = ((value >> (32 - length)) & ((1 << span_bits) - 1)) << (stride - span_bits)
-        count = 1 << (stride - span_bits)
-        entries, children = node.entries, node.children
-        for slot in range(base, base + count):
-            existing = entries[slot]
-            if existing is None or existing.length <= length:
-                entries[slot] = route
-            # Deeper levels inherit via the lookup fallback; but an
-            # existing child subtree must also see this route where it
-            # has no better entry.
-            child = children[slot]
-            if child is not None:
-                self._push_down(child, route, level + 1)
+        slot = (value >> (32 - bounds[level])) & ((1 << strides[level]) - 1)
+        span = bounds[level] - length
+        lo = slot >> span << span
+        return path, node, lo, lo + (1 << span)
 
-    def _push_down(self, node: _TrieNode, route: Route, level: int) -> None:
-        for slot in range(len(node.entries)):
-            existing = node.entries[slot]
-            # ``<=`` so a reprogram of the same prefix replaces its own
-            # stale copies in child subtrees (equal-length routes with
-            # *different* prefixes never cover the same slot).
-            if existing is None or existing.length <= route.length:
-                node.entries[slot] = route
-            child = node.children[slot]
-            if child is not None:
-                self._push_down(child, route, level + 1)
+    def _insert(self, route: Route) -> None:
+        __, node, lo, hi = self._locate(route)
+        _spread(node, lo, hi, route.length, route)
+
+    def _withdraw(self, route: Route) -> None:
+        """Hand every slot ``route`` held, in its own node and in the
+        child nodes beneath, to its covering route; then unlink each
+        node on its path left with no route longer than its parent's
+        boundary."""
+        path, node, lo, hi = self._locate(route)
+        _spread(node, lo, hi, route.length, self._covering(route))
+        for (parent, slot), parent_bound in reversed(list(zip(path, self._bounds))):
+            child = parent.children[slot]
+            if any(child.children) or any(
+                    entry is not None and entry.length > parent_bound
+                    for entry in child.entries):
+                break
+            parent.children[slot] = None
 
     # -- lookup ---------------------------------------------------------------
 
@@ -387,6 +387,24 @@ class RoutingTable(BaseRoutingTable):
         return best
 
 
+def _spread(node: _TrieNode, lo: int, hi: int, length: int,
+            fill: Optional[Route]) -> None:
+    """Set ``node``'s slots ``lo``..``hi`` that hold no route longer than
+    ``length`` to ``fill``, and likewise every slot of the child nodes
+    beneath them.  A slot holding a longer route keeps it, and so does
+    its whole subtree: every slot there holds a route at least as long.
+    Two routes of one length never cover the same slot, so ``<=`` lets a
+    reprogram replace its old copies and a withdrawal clear its own."""
+    entries, children = node.entries, node.children
+    for slot in range(lo, hi):
+        existing = entries[slot]
+        if existing is None or existing.length <= length:
+            entries[slot] = fill
+            child = children[slot]
+            if child is not None:
+                _spread(child, 0, len(child.entries), length, fill)
+
+
 class BidirectionalTable(BaseRoutingTable):
     """Pipelined split-trie per "Bidirectional Pipelining for Scalable IP
     Lookup": the prefix set is cut at the ``SPLIT`` (/16) median length.
@@ -411,18 +429,23 @@ class BidirectionalTable(BaseRoutingTable):
         # top-16-bits -> (lengths sorted desc, {length: {masked_bits: Route}})
         self._long: Dict[int, Tuple[Tuple[int, ...], Dict[int, Dict[int, Route]]]] = {}
 
-    def _insert(self, route: Route, replacing: bool) -> None:
+    def _expand(self, route: Route, fill: Optional[Route]) -> None:
+        """Give ``fill`` the 2^(split - length) short-stage slots that
+        ``route``'s prefix spans (all of them for a /0) and that hold no
+        longer route."""
+        value, length, split = route.prefix.value, route.length, self.SPLIT
+        base = value >> (32 - length) << (split - length)
+        short = self._short
+        for slot in range(base, base + (1 << (split - length))):
+            existing = short[slot]
+            if existing is None or existing.length <= length:
+                short[slot] = fill
+
+    def _insert(self, route: Route) -> None:
         value, length = route.prefix.value, route.length
         split = self.SPLIT
         if length <= split:
-            # Expand across the 2^(split - length) short-stage slots the
-            # prefix covers (all of them for a /0).
-            base = value >> (32 - length) << (split - length)
-            short = self._short
-            for slot in range(base, base + (1 << (split - length))):
-                existing = short[slot]
-                if existing is None or existing.length <= length:
-                    short[slot] = route
+            self._expand(route, route)
             return
         top = value >> (32 - split)
         entry = self._long.get(top)
@@ -438,9 +461,9 @@ class BidirectionalTable(BaseRoutingTable):
 
     def _withdraw(self, route: Route) -> None:
         if route.length <= self.SPLIT:
-            # Expanded entries cannot tell which neighbors they shadow;
-            # fall back to the batched rebuild.
-            super()._withdraw(route)
+            # Every short-stage slot the route held falls back to its
+            # covering route, which is short too.
+            self._expand(route, self._covering(route))
             return
         value, length = route.prefix.value, route.length
         top = value >> (32 - self.SPLIT)

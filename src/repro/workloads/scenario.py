@@ -19,6 +19,9 @@ numbers trustworthy:
   agrees with the reference on the withdrawn destinations (no stale
   blackhole answers) and the route cache was invalidated exactly once.
 
+Each probe stream is drawn once, where the first backend first probes
+it, and replayed to every later backend.
+
 ``WorkloadResult`` is a :class:`repro.verdict.Verdict` over every
 backend's checks; its exit code is the CLI's.
 """
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import random
 import time
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -207,6 +211,14 @@ def run_workloads(
                             zipf_s=zipf_s)
 
     side_count = max(1, min(probes // 4, 25_000))
+    # Each stream is drawn where the first backend first probes it (a
+    # generator draws nothing until iterated), then kept as address
+    # values and replayed to every later backend.
+    streams: Dict[str, Iterable] = {
+        "zipf": zipf_addresses(probes, dests, s=zipf_s, seed=seed),
+        "flash_crowd": flash_crowd_addresses(side_count, dests, seed=seed),
+        "scan_storm": scan_addresses(side_count, dests, seed=seed),
+    }
     for backend in backends:
         # Wall-clock is measurement output here (build-time reporting),
         # not simulation input -- it never feeds back into behaviour.
@@ -220,12 +232,10 @@ def run_workloads(
         cache = RouteCache(table, size_bits=cache_bits)
 
         # -- probe phases -----------------------------------------------------
-        _run_phase(report, cache, "zipf",
-                   zipf_addresses(probes, dests, s=zipf_s, seed=seed))
-        _run_phase(report, cache, "flash_crowd",
-                   flash_crowd_addresses(side_count, dests, seed=seed))
-        _run_phase(report, cache, "scan_storm",
-                   scan_addresses(side_count, dests, seed=seed))
+        for name, stream in streams.items():
+            if not isinstance(stream, array):
+                stream = streams[name] = array("I", (a.value for a in stream))
+            _run_phase(report, cache, name, map(IPv4Address, stream))
 
         # -- uniform dark-space phase + reference agreement -------------------
         rng = random.Random(f"verify:{seed}")

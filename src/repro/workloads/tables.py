@@ -13,8 +13,9 @@ properties deterministically from a seed:
   locality and bounds the CPE trie's child-node count at 1M entries;
 * everything is unique, so ``add_many`` loads exactly ``count`` routes.
 
-Next-hop MACs are shared per port so a million routes do not allocate a
-million identical MAC objects.
+A spec carries its prefix as the integer address value, so loading it
+parses nothing, and next-hop MACs are shared per port so a million
+routes do not allocate a million identical MAC objects.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.net.addresses import IPv4Address, MACAddress
+from repro.net.addresses import MACAddress
 
 #: Approximate global-table prefix-length shares, /8../24 (the paper-era
 #: and modern tables alike are ~55-60% /24 with a deaggregation shoulder
@@ -47,8 +48,8 @@ DEFAULT_LENGTH_MIX: Dict[int, float] = {
     24: 0.536,
 }
 
-#: spec tuple: (prefix, length, out_port, next_hop_mac)
-PrefixSpec = Tuple[str, int, int, MACAddress]
+#: spec tuple: (prefix value, length, out_port, next_hop_mac)
+PrefixSpec = Tuple[int, int, int, MACAddress]
 
 
 def _mask(length: int) -> int:
@@ -118,7 +119,7 @@ def bgp_prefixes(
                 key = (value, length)
         seen.add(key)
         port = rng.randrange(num_ports)
-        specs.append((str(IPv4Address(value)), length, port, macs[port]))
+        specs.append((value, length, port, macs[port]))
     return specs
 
 
@@ -155,7 +156,7 @@ def destinations_for(
     rng = random.Random(f"dests:{seed}")
     out: List[int] = []
     for prefix, length, __, ___ in specs[: limit if limit is not None else len(specs)]:
-        base = IPv4Address(prefix).value & _mask(length)
+        base = prefix & _mask(length)
         span = 32 - length
         host = rng.getrandbits(span) if span else 0
         out.append(base | host)

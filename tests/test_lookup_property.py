@@ -5,7 +5,8 @@ three CPE stride layouts plus the bidirectional pipeline) against an
 independent mirror of the route set, checking after every mutation that
 ``lookup`` agrees with a mirror-computed longest-prefix match, with
 periodic cross-checks against ``lookup_linear`` and
-``lookup_reference``."""
+``lookup_reference``.  A second test checks that the structure a
+withdrawal leaves in place is the one a fresh load would build."""
 
 import random
 from typing import Dict, Optional, Tuple
@@ -38,15 +39,14 @@ def _mirror_lpm(live: Dict[Tuple[int, int], int], value: int) -> Optional[Tuple[
 
 
 def _random_route(rng: random.Random) -> Tuple[int, int]:
-    # No /0 here: a default route expands across every root slot, which
-    # makes each withdrawal-triggered rebuild O(2^stride) and the run
-    # quadratic.  Default-route semantics are covered by the unit tests.
+    # No /0 here: a default route expands across every root slot, so each
+    # add or withdrawal of it costs O(2^stride).  Default routes are
+    # covered by the unit tests and the withdrawal-structure test below.
     length = rng.choice((8, 12, 15, 16, 17, 20, 22, 24, 28, 32))
     value = rng.getrandbits(32) & _mask(length)
     return value, length
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize(
     "backend,kwargs", CONFIGS,
     ids=["cpe-16-8-8", "cpe-8x4", "cpe-16-8-4-4", "bidirectional"])
@@ -67,9 +67,8 @@ def test_randomized_ops_agree_with_mirror(backend, kwargs):
         assert got == table.lookup_reference(addr)
 
     live_keys = []  # unordered view for O(1) random picks
-    # Keep the live set near an equilibrium: CPE withdrawal rebuilds the
-    # trie (O(routes)), so an ever-growing set would make 50k ops
-    # quadratic without testing anything extra.
+    # Keep the live set near an equilibrium, so removals and adds stay
+    # balanced over all 12.5k ops instead of the table only growing.
     target_live = 150
 
     def pick_live():

@@ -305,6 +305,26 @@ def test_bulk_nesting_defers_to_outermost():
     assert table.lookup(IPv4Address("10.1.1.1")).out_port == 2
 
 
+@pytest.mark.parametrize("backend", ["cpe", "bidirectional"])
+def test_lookup_inside_bulk_sees_an_earlier_withdrawal(backend):
+    """A route withdrawn inside a bulk block stops answering at once,
+    as an added route starts to; only the listener fire waits for the
+    end of the block."""
+    from repro.net import make_routing_table
+
+    table = make_routing_table(backend)
+    table.add("10.0.0.0", 8, 1)
+    table.add("10.1.0.0", 16, 2)
+    addr = IPv4Address("10.1.2.3")
+    with table.bulk():
+        table.remove("10.1.0.0", 16)
+        assert table.lookup_reference(addr).out_port == 1
+        assert table.lookup(addr).out_port == 1
+        table.add("10.1.2.0", 24, 3)
+        assert table.lookup(addr).out_port == 3
+    assert table.lookup(addr).out_port == 3
+
+
 def test_bulk_without_changes_is_silent():
     table = build_basic_table()
     generation = table.generation

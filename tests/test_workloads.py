@@ -200,6 +200,22 @@ def test_run_workloads_invariants_hold():
     json.dumps(artifact)  # must be serializable
 
 
+def test_backends_report_the_same_alone_or_together():
+    """Each probe stream is drawn once and replayed to every backend, so
+    a backend's report must not depend on the backends beside it."""
+    both = run_workloads(prefixes=3_000, probes=3_000, seed=7)
+
+    def report(result, backend):
+        doc = next(r.as_dict() for r in result.reports if r.backend == backend)
+        doc.pop("build_seconds")  # wall-clock, not output
+        return doc
+
+    for backend in ("cpe", "bidirectional"):
+        alone = run_workloads(prefixes=3_000, probes=3_000, seed=7,
+                              backends=(backend,))
+        assert report(alone, backend) == report(both, backend)
+
+
 def test_workloads_cli_smoke(capsys):
     rc = cli_main(["workloads", "--prefixes", "2000", "--probes", "2000",
                    "--seed", "5", "--sample", "300", "--backend", "cpe"])
