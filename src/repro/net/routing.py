@@ -85,8 +85,9 @@ class BaseRoutingTable:
     reprogram) and :meth:`remove` can withdraw it again.  A prefix is a
     dotted string or its integer value.  Subclasses implement the fast
     structure: ``_reset_structures``, ``_insert``, ``_withdraw`` and
-    ``lookup``.  Both update it in place, and leave exactly the
-    structure a fresh load of the same routes would build.
+    ``lookup``.  ``_insert`` and ``_withdraw`` update it in place and
+    leave exactly the structure a fresh load of the same routes would
+    build.
     """
 
     backend_name = "base"
