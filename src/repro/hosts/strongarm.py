@@ -46,14 +46,13 @@ class SAParams:
     bridge_busy_cycles: int = 290    # I2O send path (software-emulated)
     interrupt_overhead_cycles: int = 420  # per-packet cost in interrupt mode
     idle_poll_cycles: int = 50
-    # Bounded retry on the Pentium bridge: after this many failed sends
-    # the descriptor is dropped (counted) rather than wedging the SA
-    # behind a dead Pentium.  The healthy-path backpressure of the
-    # paper's 1500-byte measurement retries ~90 times at most, well
-    # under the limit, so calibrated envelopes are unchanged.
+    # Bounded retry on the Pentium bridge: after this many failed sends,
+    # one idle poll apart, the descriptor is dropped (counted) rather
+    # than wedging the SA behind a dead Pentium.  The healthy-path
+    # backpressure of the paper's 1500-byte measurement retries ~90
+    # times at most, well under the limit, so calibrated envelopes are
+    # unchanged.
     bridge_retry_limit: int = 400
-    bridge_backoff_growth: float = 1.0   # >1.0 enables exponential backoff
-    bridge_backoff_cap: int = 2000       # max per-retry wait, in cycles
 
 
 class StrongARM:
@@ -240,7 +239,6 @@ class StrongARM:
             flow_metadata=flow_metadata,
         )
         attempts = 0
-        backoff = float(self.params.idle_poll_cycles)
         while not self.pentium_pair.try_send(message):
             # No free buffer in Pentium memory: the bridge stalls until
             # the Pentium recycles one.  This back-pressure is what keeps
@@ -258,10 +256,7 @@ class StrongARM:
                     rec.record(self.sim.now, "strongarm", "bridge_drop",
                                rec.packet_id(packet), attempts)
                 return
-            yield Delay(int(backoff))
-            if self.params.bridge_backoff_growth > 1.0:
-                backoff = min(float(self.params.bridge_backoff_cap),
-                              backoff * self.params.bridge_backoff_growth)
+            yield Delay(self.params.idle_poll_cycles)
         self.bridged += 1
         rec = self.chip.recorder
         if rec.enabled:

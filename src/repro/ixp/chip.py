@@ -279,7 +279,6 @@ class IXP1200:
         self.sa_local_queue = PacketQueue(-2, -1, capacity=self.config.sa_queue_capacity)
         self.sa_pentium_queue = PacketQueue(-3, -1, capacity=self.config.sa_queue_capacity)
         self.sa_signal = self.sim.signal("sa-packet")
-        self.work_signal = self.sim.signal("queue-work")
 
         # Counters.
         self.counters: Dict[str, int] = {
@@ -562,7 +561,6 @@ class IXP1200:
         self.counters["input_mps"] += 1
         if item.is_first:
             self.counters["input_packets"] += 1
-            ctx.packets_processed += 1
 
     def select_output_queue(self, ports: Sequence[int], discipline: OutputDiscipline):
         if self.config.output_only:
@@ -633,9 +631,7 @@ class IXP1200:
             rec.record(self.sim.now, "chip",
                        "requeue" if ok else "requeue_drop",
                        rec.packet_id(descriptor.packet), out_port)
-        if ok:
-            self.work_signal.fire()
-        else:
+        if not ok:
             self.counters["queue_drops"] += 1
         return ok
 

@@ -15,27 +15,23 @@ from repro.net.routing import hardware_hash
 
 
 class HashUnit:
-    """One-cycle hash engine with usage accounting."""
+    """One-cycle hash engine."""
 
     def __init__(self, sim: Simulator, cycles_per_hash: int = 1):
         self.sim = sim
         self.cycles_per_hash = cycles_per_hash
-        self.hash_count = 0
 
     def compute(self, value: int, bits: int = 16) -> int:
         """Functional hash (no simulated time); pair with :meth:`use`."""
-        self.hash_count += 1
         return hardware_hash(value, bits)
 
     def use(self, count: int = 1) -> Generator:
         """Timed usage from a context program."""
         if count < 0:
             raise ValueError("hash count must be non-negative")
-        self.hash_count += count
         if count:
             yield delay(self.cycles_per_hash * count)
 
     def combine(self, a: int, b: int, bits: int = 16) -> int:
         """Combine two hashed values into a flow-table index (section 4.5)."""
-        self.hash_count += 1
         return hardware_hash((a << 16) ^ b, bits)

@@ -30,14 +30,16 @@ class AccessJitter:
     phases); a pure fixed-latency model instead phase-locks the 24
     deterministic contexts and produces brittle, configuration-sensitive
     artifacts.  A counter-hash keeps runs reproducible while breaking the
-    lockstep.
+    lockstep.  ``mask`` may only be lowered after construction (to 0 for
+    an un-dithered probe): plans and delay tables are built for the 0-3
+    range.
     """
 
     __slots__ = ("_counter", "mask")
 
-    def __init__(self, mask: int = 0x3):
+    def __init__(self):
         self._counter = 0
-        self.mask = mask
+        self.mask = 0x3
 
     def next(self) -> int:
         self._counter += 1
@@ -66,7 +68,7 @@ class Memory:
 
     def _build_plans(self, base_latency: int):
         plans = []
-        for jitter_value in range(max(4, self.jitter.mask + 1)):
+        for jitter_value in range(self.jitter.mask + 1):
             latency = base_latency + jitter_value
             occupancy = min(self.timing.occupancy, latency)
             remaining = latency - occupancy
@@ -75,25 +77,16 @@ class Memory:
 
     def read(self, tag: str = "untagged") -> Generator:
         """Timed read of one transfer unit; yields from a context program."""
-        return self._access("read", self.timing.read_latency, tag)
+        return self._access("read", tag)
 
     def write(self, tag: str = "untagged") -> Generator:
-        return self._access("write", self.timing.write_latency, tag)
+        return self._access("write", tag)
 
-    def _access(self, op: str, latency: int, tag: str) -> Generator:
+    def _access(self, op: str, tag: str) -> Generator:
         counts = self.access_counts
         key = (tag, op)
         counts[key] = counts.get(key, 0) + 1
-        jitter_value = self.jitter.next()
-        plans = self._plans[op]
-        if jitter_value < len(plans):
-            occupancy, occupancy_delay, remaining_delay = plans[jitter_value]
-        else:  # custom jitter mask wider than the memoized range
-            jittered = latency + jitter_value
-            occupancy = min(self.timing.occupancy, jittered)
-            occupancy_delay = delay(occupancy)
-            remaining = jittered - occupancy
-            remaining_delay = delay(remaining) if remaining > 0 else None
+        occupancy, occupancy_delay, remaining_delay = self._plans[op][self.jitter.next()]
         yield self.channel.acquire()
         self.busy_cycles += occupancy
         yield occupancy_delay

@@ -76,8 +76,6 @@ class MicroContext:
         self.ctx_id = me.me_id * me.params.contexts_per_me + slot
         self.sim = me.sim
         self.holding_core = False
-        self.mps_processed = 0
-        self.packets_processed = 0
         # Memoized timed-operation pieces: every context swap and memory
         # issue costs the same cycles for the life of the context, so the
         # command objects are resolved once instead of per reference.
@@ -133,6 +131,9 @@ class MicroContext:
         me = self.me
         if not self.holding_core:
             raise RuntimeError(f"context {self.ctx_id} executing without the engine")
+        plans = memory._plans.get(op)
+        if plans is None:
+            raise ValueError(f"bad memory op {op!r}")
         rec = me.recorder
         observing = rec.enabled
         me.busy_cycles += self.MEM_ISSUE_CYCLES
@@ -144,27 +145,12 @@ class MicroContext:
         # Inlined Memory._access (saves a generator frame per resume on
         # the dominant operation); the yield/side-effect sequence must
         # stay identical to Memory.read()/write().
-        if op == "read":
-            base = memory.timing.read_latency
-        elif op == "write":
-            base = memory.timing.write_latency
-        else:
-            raise ValueError(f"bad memory op {op!r}")
         counts = memory.access_counts
         key = (tag or f"ctx{self.ctx_id}", op)
         counts[key] = counts.get(key, 0) + 1
         jit = memory.jitter
         jit._counter = c = jit._counter + 1
-        jitter_value = (c * 2654435761 >> 7) & jit.mask
-        plans = memory._plans[op]
-        if jitter_value < len(plans):
-            occupancy, occupancy_delay, remaining_delay = plans[jitter_value]
-        else:  # custom jitter mask wider than the memoized range
-            jittered = base + jitter_value
-            occupancy = min(memory.timing.occupancy, jittered)
-            occupancy_delay = delay(occupancy)
-            remaining = jittered - occupancy
-            remaining_delay = delay(remaining) if remaining > 0 else None
+        occupancy, occupancy_delay, remaining_delay = plans[(c * 2654435761 >> 7) & jit.mask]
         yield memory.channel.acquire()
         memory.busy_cycles += occupancy
         yield occupancy_delay

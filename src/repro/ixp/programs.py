@@ -111,11 +111,12 @@ class _MemPlan:
     """Pre-resolved constants for one (memory, op, tag) reference site.
 
     The loop programs issue the same handful of memory references for
-    every MP, so the per-site lookups (timing, counts key, jitter, plan
-    table, channel command) are resolved once and the reference itself is
-    inlined in the program frame -- every resume then crosses a single
-    generator frame instead of three.  The yield/side-effect sequence is
-    identical to ``MicroContext.mem``.
+    every MP, so the per-site lookups (counts key, jitter, plan table,
+    channel command) are resolved once.  Each loop has one inlined
+    reference block, driven over a per-MP tuple of these plans, so every
+    resume crosses a single generator frame instead of three.  The
+    block's yield/side-effect sequence is identical to
+    ``MicroContext.mem``.
     """
 
     __slots__ = ("memory", "counts", "key", "jitter", "plans", "channel", "acquire")
@@ -142,8 +143,12 @@ def input_loop(ctx: MicroContext, chip, source) -> Generator:
     so all costs, delay commands and memory-reference plans are resolved
     once up front, and the hot :class:`MicroContext` helpers (``busy``,
     ``mem``, ``yield_me``) are inlined so each simulator event resumes
-    exactly one generator frame.  Every inlined block must keep the
-    yield/side-effect sequence of the helper it replaces.
+    exactly one generator frame.  Each step has one copy: one token pass
+    serves the empty and the busy hop, and one reference block drives an
+    MP's references, ``mem_refs`` or, once the first MP of a packet
+    takes row I.1's private enqueue, ``private_refs``.  Every inlined
+    block must keep the yield/side-effect sequence of the helper it
+    replaces.
     """
     from repro.engine import Event, delay
 
@@ -167,7 +172,6 @@ def input_loop(ctx: MicroContext, chip, source) -> Generator:
     ix_bus = chip.ix_bus
     scratch = chip.scratch
     dram = chip.dram
-    hash_unit = chip.hash_unit
     me = ctx.me
     core = me.core
     core_acquire = core.acquire()
@@ -180,16 +184,17 @@ def input_loop(ctx: MicroContext, chip, source) -> Generator:
     m_mp_w = _MemPlan(dram, "write", "input.mp")
     m_portstate_w = _MemPlan(scratch, "write", "input.portstate")
     mem_refs = (m_bufring_r, m_bufring_w, m_mp_w, m_mp_w, m_portstate_w)
+    # Row I.1 (private queue, tail pointer in registers): the entry
+    # write and the readiness summary go in before the port-state write.
+    m_enq_entry = _MemPlan(chip.sram, "write", "enqueue.entry")
+    m_enq_ready = _MemPlan(scratch, "write", "enqueue.ready")
+    private_refs = mem_refs[:4] + (m_enq_entry, m_enq_ready) + mem_refs[4:]
     c_enqueue = cost.input_enqueue
     d_enqueue = delay(c_enqueue)
     bank = chip.bank
     private_q = bank.input_discipline is InputDiscipline.PRIVATE
     input_queue_for = bank.input_queue_for
     bank_enqueue = bank.enqueue
-    work_signal = chip.work_signal
-    m_enq_entry = _MemPlan(chip.sram, "write", "enqueue.entry")
-    m_enq_ready = _MemPlan(scratch, "write", "enqueue.ready")
-    enq_refs = (m_enq_entry, m_enq_ready)
     sim = ctx.sim
     cid = ctx.ctx_id
     ring_order = input_ring.order
@@ -242,36 +247,19 @@ def input_loop(ctx: MicroContext, chip, source) -> Generator:
                 me.busy_cycles += c_port_check
                 yield d_port_check
         item = source.next_mp(ctx)
-        if item is None:
-            # pass_token(input_ring), inlined (TokenRing.release).
-            if c_pass:
-                me.busy_cycles += c_pass
-                yield d_pass
-            input_ring._holder_active = False
-            input_ring._position = pos = (input_ring._position + 1) % ring_len
-            input_ring.rotations += 1
-            # An idle stage parks here instead of waking the next
-            # holder (see repro.ixp.parking.InputParking.try_park).
-            # InputParking.charges must list this hop's steps in order:
-            # swap, port check, pass (+ rotation).
-            if parking is None or not parking.try_park(sim.now, pos, core):
-                event = ring_pop(ring_order[pos], None)
-                if event is not None and not event._done:
-                    event.succeed()
-            if idle_wait is not None:
-                yield from idle_wait(ctx)
-            continue
-        rec = chip.recorder
-        if rec.enabled and item.is_first and item.packet is not None:
-            rec.record(sim.now, ctx._comp, "mac_in",
-                       rec.packet_id(item.packet), item.out_port)
-        # Program the DMA while holding the token (requests to the single
-        # DMA state machine are not hardware-serialized, section 3.2.2);
-        # the transfer itself into this context's private FIFO slot then
-        # proceeds without the token, serialized by the bus.
-        if c_dma_issue:
-            me.busy_cycles += c_dma_issue
-            yield d_dma_issue
+        if item is not None:
+            rec = chip.recorder
+            if rec.enabled and item.is_first and item.packet is not None:
+                rec.record(sim.now, ctx._comp, "mac_in",
+                           rec.packet_id(item.packet), item.out_port)
+            # Program the DMA while holding the token (requests to the
+            # single DMA state machine are not hardware-serialized,
+            # section 3.2.2); the transfer itself into this context's
+            # private FIFO slot then proceeds without the token,
+            # serialized by the bus.
+            if c_dma_issue:
+                me.busy_cycles += c_dma_issue
+                yield d_dma_issue
         # pass_token(input_ring), inlined (TokenRing.release).
         if c_pass:
             me.busy_cycles += c_pass
@@ -279,9 +267,18 @@ def input_loop(ctx: MicroContext, chip, source) -> Generator:
         input_ring._holder_active = False
         input_ring._position = pos = (input_ring._position + 1) % ring_len
         input_ring.rotations += 1
-        event = ring_pop(ring_order[pos], None)
-        if event is not None and not event._done:
-            event.succeed()
+        # An idle stage parks on an empty hop instead of waking the next
+        # holder (see repro.ixp.parking.InputParking.try_park).
+        # InputParking.charges must list the empty hop's steps in order:
+        # swap, port check, pass (+ rotation).
+        if item is not None or parking is None or not parking.try_park(sim.now, pos, core):
+            event = ring_pop(ring_order[pos], None)
+            if event is not None and not event._done:
+                event.succeed()
+        if item is None:
+            if idle_wait is not None:
+                yield from idle_wait(ctx)
+            continue
         # ix_transfer(ix_bus), inlined: block off-engine for the 64-byte
         # FIFO DMA over the IX bus.
         ctx.holding_core = False
@@ -299,18 +296,16 @@ def input_loop(ctx: MicroContext, chip, source) -> Generator:
         # calculate_mp_addr(): advance the shared circular buffer ring
         # pointer (kept in Scratch; the token serialization already
         # protects it, section 3.2.3).  Then copy reg_mp_data <- IN_FIFO,
-        # classify, run the VRP, and store to DRAM; each mem() below is
-        # the inlined reference sequence over a pre-resolved _MemPlan.
+        # classify, run the VRP, store to DRAM and enqueue; each
+        # reference is the one inlined mem() below, over refs[mem_index],
+        # and the program step after it is keyed on the next position.
         if c_mp_addr_calc:
             me.busy_cycles += c_mp_addr_calc
             yield d_mp_addr_calc
+        refs = mem_refs
         mem_index = 0
-        handle = None
-        vrp_steps = None
-        vrp = None
         while True:
-            # -- shared inlined mem() over mem_refs[mem_index] ---------
-            m = mem_refs[mem_index]
+            m = refs[mem_index]
             me.busy_cycles += c_issue
             yield d_issue
             ctx.holding_core = False
@@ -320,18 +315,7 @@ def input_loop(ctx: MicroContext, chip, source) -> Generator:
             counts[key] = counts.get(key, 0) + 1
             jit = m.jitter
             jit._counter = jc = jit._counter + 1
-            jv = (jc * 2654435761 >> 7) & jit.mask
-            plans = m.plans
-            if jv < len(plans):
-                occupancy, occupancy_delay, remaining_delay = plans[jv]
-            else:  # custom jitter mask wider than the memoized range
-                mem_timing = m.memory.timing
-                base = mem_timing.read_latency if key[1] == "read" else mem_timing.write_latency
-                jittered = base + jv
-                occupancy = min(mem_timing.occupancy, jittered)
-                occupancy_delay = delay(occupancy)
-                remaining = jittered - occupancy
-                remaining_delay = delay(remaining) if remaining > 0 else None
+            occupancy, occupancy_delay, remaining_delay = m.plans[(jc * 2654435761 >> 7) & jit.mask]
             yield m.acquire
             m.memory.busy_cycles += occupancy
             yield occupancy_delay
@@ -343,7 +327,6 @@ def input_loop(ctx: MicroContext, chip, source) -> Generator:
             if c_swap:
                 me.busy_cycles += c_swap
                 yield d_swap
-            # -- between-reference program steps -----------------------
             mem_index += 1
             if mem_index == 2:
                 handle = chip.alloc_buffer(item)
@@ -365,7 +348,6 @@ def input_loop(ctx: MicroContext, chip, source) -> Generator:
                 if c_classify:
                     me.busy_cycles += c_classify
                     yield d_classify
-                hash_unit.hash_count += 1
                 yield d_hash
                 if item.is_first:
                     item = chip.classify(item, ctx)
@@ -395,8 +377,9 @@ def input_loop(ctx: MicroContext, chip, source) -> Generator:
                     chip.counters["vrp_dropped"] += 1
                 if item.is_first and not dropped:
                     if private_q and not item.exceptional:
-                        # _enqueue's hot path (row I.1: private queue,
-                        # entry write + readiness summary), inlined.
+                        # _enqueue's row I.1 path, inlined: its two
+                        # references run as positions 4 and 5 of
+                        # private_refs.
                         descriptor = PacketDescriptor(
                             handle=handle,
                             packet=item.packet,
@@ -412,56 +395,20 @@ def input_loop(ctx: MicroContext, chip, source) -> Generator:
                         if c_enqueue:
                             me.busy_cycles += c_enqueue
                             yield d_enqueue
-                        for m in enq_refs:
-                            # inlined mem() (see _MemPlan)
-                            me.busy_cycles += c_issue
-                            yield d_issue
-                            ctx.holding_core = False
-                            core.release()
-                            counts = m.counts
-                            key = m.key
-                            counts[key] = counts.get(key, 0) + 1
-                            jit = m.jitter
-                            jit._counter = jc = jit._counter + 1
-                            jv = (jc * 2654435761 >> 7) & jit.mask
-                            plans = m.plans
-                            if jv < len(plans):
-                                occupancy, occupancy_delay, remaining_delay = plans[jv]
-                            else:
-                                mem_timing = m.memory.timing
-                                base = (
-                                    mem_timing.read_latency
-                                    if key[1] == "read"
-                                    else mem_timing.write_latency
-                                )
-                                jittered = base + jv
-                                occupancy = min(mem_timing.occupancy, jittered)
-                                occupancy_delay = delay(occupancy)
-                                remaining = jittered - occupancy
-                                remaining_delay = delay(remaining) if remaining > 0 else None
-                            yield m.acquire
-                            m.memory.busy_cycles += occupancy
-                            yield occupancy_delay
-                            m.channel.release()
-                            if remaining_delay is not None:
-                                yield remaining_delay
-                            yield core_acquire
-                            ctx.holding_core = True
-                            if c_swap:
-                                me.busy_cycles += c_swap
-                                yield d_swap
-                        if bank_enqueue(queue, descriptor):
-                            work_signal.fire()
-                        else:
-                            chip.note_queue_drop(item)
-                    else:
-                        yield from _enqueue(ctx, chip, item, handle)
+                        refs = private_refs
+                        continue
+                    yield from _enqueue(ctx, chip, item, handle)
                 if c_loop_overhead:
                     me.busy_cycles += c_loop_overhead
                     yield d_loop_overhead
-            elif mem_index == 5:
+            elif mem_index == 6:
+                if not bank_enqueue(queue, descriptor):
+                    chip.note_queue_drop(item)
+                if c_loop_overhead:
+                    me.busy_cycles += c_loop_overhead
+                    yield d_loop_overhead
+            elif mem_index == len(refs):
                 break
-        ctx.mps_processed += 1
         chip.record_input_mp(ctx, item)
 
 
@@ -507,11 +454,8 @@ def _enqueue(ctx: MicroContext, chip, item: WorkItem, handle: BufferHandle) -> G
         yield from ctx.mem(chip.scratch, "write", "enqueue.tail")
         ctx.unlock(mutex)
         yield from ctx.mem(chip.scratch, "write", "enqueue.ready")
-    accepted = chip.bank.enqueue(queue, descriptor)
-    if not accepted:
+    if not chip.bank.enqueue(queue, descriptor):
         chip.note_queue_drop(item)
-    else:
-        chip.work_signal.fire()
 
 
 # ---------------------------------------------------------------------------
@@ -526,8 +470,12 @@ def output_loop(ctx: MicroContext, chip, ports) -> Generator:
     Like :func:`input_loop`, the per-MP constants, delay commands and
     memory-reference plans are resolved once and the hot helpers
     (``busy``, ``mem``, the old ``_select_and_cost`` sub-generator) are
-    inlined in this frame; every inlined block keeps the helper's exact
-    yield/side-effect sequence (Table 1 rows O.1-O.3, Fig 6 steps).
+    inlined in this frame.  One reference block drives ``mem_refs``: the
+    select read is position 0 and the select-and-dequeue decision the
+    step before position 1, so an iteration enters at 0 (a select that
+    reads memory), 1 (batched, mid-batch) or 2 (mid-packet).  Every
+    inlined block keeps the helper's exact yield/side-effect sequence
+    (Table 1 rows O.1-O.3, Fig 6 steps).
     """
     from repro.engine import Event, delay
 
@@ -577,7 +525,7 @@ def output_loop(ctx: MicroContext, chip, ports) -> Generator:
     m_mp_r = _MemPlan(dram, "read", "output.mp")
     m_qstate_r = _MemPlan(scratch, "read", "output.qstate")
     m_head_w = _MemPlan(scratch, "write", "output.head")
-    mem_refs = (m_commit_w, m_mp_r, m_mp_r, m_qstate_r, m_head_w)
+    mem_refs = (m_select_r, m_commit_w, m_mp_r, m_mp_r, m_qstate_r, m_head_w)
     sim = ctx.sim
     cid = ctx.ctx_id
     ring_order = output_ring.order
@@ -632,126 +580,85 @@ def output_loop(ctx: MicroContext, chip, ports) -> Generator:
         if event is not None and not event._done:
             event.succeed()
 
-        if current is None:
-            # select_queue(): pick a non-empty queue for one of this
-            # context's ports, charging the discipline's cost.
-            select_mem = False
+        if current is not None:
+            mem_index = 2  # mid-packet: straight to the MP move
+        elif batched and batch_remaining > 0:
+            # select_queue() mid-batch: the batch's one head-pointer
+            # check covers it.
+            if c_select_batched:
+                me.busy_cycles += c_select_batched
+                yield d_select_batched
+            mem_index = 1
+        else:
+            # select_queue() from memory: the head pointer at a batch
+            # boundary or on every unbatched iteration; MULTI_INDIRECT
+            # reads the readiness bit-array, then scans.
+            if not multi and c_select_queue:
+                me.busy_cycles += c_select_queue
+                yield d_select_queue
             if batched:
-                if batch_remaining > 0:
-                    if c_select_batched:
-                        me.busy_cycles += c_select_batched
-                        yield d_select_batched
-                else:
-                    # Batch boundary: the one head-pointer check covers
-                    # the batch.
-                    if c_select_queue:
-                        me.busy_cycles += c_select_queue
-                        yield d_select_queue
-                    select_mem = True
-                    batch_remaining = batch_size
-            elif not multi:  # SINGLE_UNBATCHED
-                # Head pointer checked from memory on every iteration.
-                if c_select_queue:
-                    me.busy_cycles += c_select_queue
-                    yield d_select_queue
-                select_mem = True
-                batch_remaining = 0
-            else:  # MULTI_INDIRECT: readiness bit-array, then scan.
-                select_mem = True
-                batch_remaining = 0
-            if select_mem:
-                # Inlined mem() over m_select_r (see _MemPlan).
-                m = m_select_r
-                me.busy_cycles += c_issue
-                yield d_issue
-                ctx.holding_core = False
-                core.release()
-                counts = m.counts
-                key = m.key
-                counts[key] = counts.get(key, 0) + 1
-                jit = m.jitter
-                jit._counter = jc = jit._counter + 1
-                jv = (jc * 2654435761 >> 7) & jit.mask
-                plans = m.plans
-                if jv < len(plans):
-                    occupancy, occupancy_delay, remaining_delay = plans[jv]
-                else:  # custom jitter mask wider than the memoized range
-                    mem_timing = m.memory.timing
-                    base = mem_timing.read_latency if key[1] == "read" else mem_timing.write_latency
-                    jittered = base + jv
-                    occupancy = min(mem_timing.occupancy, jittered)
-                    occupancy_delay = delay(occupancy)
-                    remaining = jittered - occupancy
-                    remaining_delay = delay(remaining) if remaining > 0 else None
-                yield m.acquire
-                m.memory.busy_cycles += occupancy
-                yield occupancy_delay
-                m.channel.release()
-                if remaining_delay is not None:
-                    yield remaining_delay
-                yield core_acquire
-                ctx.holding_core = True
-                if c_swap:
-                    me.busy_cycles += c_swap
-                    yield d_swap
+                batch_remaining = batch_size
+            mem_index = 0
+
+        # Select read, dequeue commit (Table 2 charges the output stage
+        # one SRAM write per MP), then move one MP: DRAM -> output FIFO
+        # -> port memory.  One inlined mem() over mem_refs; the program
+        # step preceding a reference is keyed on the position about to
+        # run, and position 6, past the last reference, hands the MP to
+        # the port.  An idle or failed select leaves the driver early.
+        while True:
+            if mem_index == 1:
                 if multi and c_select_multi:
                     me.busy_cycles += c_select_multi
                     yield d_select_multi
-            queue = select_output_queue(ports, discipline)
-            if queue is None:
-                # Nothing ready: back off so an idle router does not
-                # busy-spin the simulator (real contexts spin; backoff
-                # only engages when there is spare capacity anyway).
-                idle_streak += 1
-                wait = delay(min(backoff_max, backoff_step * idle_streak))
-                if parking is not None:
-                    # An empty router's saturated backoff loop parks
-                    # here instead; it is resumed directly at a backoff
-                    # end (OutputParking.resume).  OutputParking.charges
-                    # must list this loop's steps in order: backoff,
-                    # swap-in, swap, token, pass (+ rotation), select.
-                    park = parking.idle(slot, sim.now, idle_streak)
-                    if park is not None:
-                        wait = park
-                # blocked(backoff), inlined.
-                ctx.holding_core = False
-                core.release()
-                yield wait
-                yield core_acquire
-                ctx.holding_core = True
-                if c_swap:
-                    me.busy_cycles += c_swap
-                    yield d_swap
-                continue
-            idle_streak = 0
-            if batched and batch_remaining > 0:
-                if c_dequeue_batched:
-                    me.busy_cycles += c_dequeue_batched
-                    yield d_dequeue_batched
-            elif c_dequeue:
-                me.busy_cycles += c_dequeue
-                yield d_dequeue
-            descriptor = bank_dequeue(queue)
-            if descriptor is None:
-                continue
-            rec = chip.recorder
-            if rec.enabled:
-                rec.sample_queue(sim.now, queue.queue_id, len(queue._entries))
-                rec.record(sim.now, ctx._comp, "dequeue",
-                           rec.packet_id(descriptor.packet),
-                           sim.now - descriptor.enqueue_cycle)
-            batch_remaining = max(0, batch_remaining - 1)
-            current = [descriptor, descriptor.mp_count]
-            mem_index = 0  # start at the dequeue-commit SRAM write
-        else:
-            mem_index = 1  # mid-packet: straight to the MP move
-
-        # Dequeue commit (Table 2 charges the output stage one SRAM write
-        # per MP) then move one MP: DRAM -> output FIFO -> port memory.
-        # Shared inlined mem() driver over mem_refs; the register steps
-        # preceding a reference are keyed on the position about to run.
-        while True:
-            if mem_index == 1:
+                queue = select_output_queue(ports, discipline)
+                if queue is None:
+                    # Nothing ready: back off so an idle router does not
+                    # busy-spin the simulator (real contexts spin;
+                    # backoff only engages when there is spare capacity
+                    # anyway).
+                    idle_streak += 1
+                    wait = delay(min(backoff_max, backoff_step * idle_streak))
+                    if parking is not None:
+                        # An empty router's saturated backoff loop parks
+                        # here instead; it is resumed directly at a
+                        # backoff end (OutputParking.resume).
+                        # OutputParking.charges must list this loop's
+                        # steps in order: backoff, swap-in, swap, token,
+                        # pass (+ rotation), select.
+                        park = parking.idle(slot, sim.now, idle_streak)
+                        if park is not None:
+                            wait = park
+                    # blocked(backoff), inlined.
+                    ctx.holding_core = False
+                    core.release()
+                    yield wait
+                    yield core_acquire
+                    ctx.holding_core = True
+                    if c_swap:
+                        me.busy_cycles += c_swap
+                        yield d_swap
+                    break
+                idle_streak = 0
+                if batched and batch_remaining > 0:
+                    if c_dequeue_batched:
+                        me.busy_cycles += c_dequeue_batched
+                        yield d_dequeue_batched
+                elif c_dequeue:
+                    me.busy_cycles += c_dequeue
+                    yield d_dequeue
+                descriptor = bank_dequeue(queue)
+                if descriptor is None:
+                    break
+                rec = chip.recorder
+                if rec.enabled:
+                    rec.sample_queue(sim.now, queue.queue_id, len(queue._entries))
+                    rec.record(sim.now, ctx._comp, "dequeue",
+                               rec.packet_id(descriptor.packet),
+                               sim.now - descriptor.enqueue_cycle)
+                batch_remaining = max(0, batch_remaining - 1)
+                current = [descriptor, descriptor.mp_count]
+            elif mem_index == 2:
                 # Address calculation and the two DRAM read issues.
                 if c_move:
                     me.busy_cycles += c_move
@@ -759,10 +666,36 @@ def output_loop(ctx: MicroContext, chip, ports) -> Generator:
                 if c_dram_issue:
                     me.busy_cycles += c_dram_issue
                     yield d_dram_issue
-            elif mem_index == 3:
+            elif mem_index == 4:
                 if c_fifo_copy:
                     me.busy_cycles += c_fifo_copy
                     yield d_fifo_copy
+            elif mem_index == 6:
+                if c_enable_slot:
+                    me.busy_cycles += c_enable_slot
+                    yield d_enable_slot
+                # ix_transfer(ix_bus), inlined: block off-engine for the
+                # 64-byte FIFO DMA over the IX bus.
+                ctx.holding_core = False
+                core.release()
+                yield ix_acquire
+                ixj._counter = jc = ixj._counter + 1
+                yield ix_delays[(jc * 2654435761 >> 7) & ix_mask]
+                ix_bus.release()
+                yield core_acquire
+                ctx.holding_core = True
+                if c_swap:
+                    me.busy_cycles += c_swap
+                    yield d_swap
+                if c_loop_overhead:
+                    me.busy_cycles += c_loop_overhead
+                    yield d_loop_overhead
+                current[1] -= 1
+                chip.record_output_mp(ctx, current[0])
+                if current[1] <= 0:
+                    chip.complete_packet(current[0])
+                    current = None
+                break
             m = mem_refs[mem_index]
             me.busy_cycles += c_issue
             yield d_issue
@@ -773,18 +706,7 @@ def output_loop(ctx: MicroContext, chip, ports) -> Generator:
             counts[key] = counts.get(key, 0) + 1
             jit = m.jitter
             jit._counter = jc = jit._counter + 1
-            jv = (jc * 2654435761 >> 7) & jit.mask
-            plans = m.plans
-            if jv < len(plans):
-                occupancy, occupancy_delay, remaining_delay = plans[jv]
-            else:  # custom jitter mask wider than the memoized range
-                mem_timing = m.memory.timing
-                base = mem_timing.read_latency if key[1] == "read" else mem_timing.write_latency
-                jittered = base + jv
-                occupancy = min(mem_timing.occupancy, jittered)
-                occupancy_delay = delay(occupancy)
-                remaining = jittered - occupancy
-                remaining_delay = delay(remaining) if remaining > 0 else None
+            occupancy, occupancy_delay, remaining_delay = m.plans[(jc * 2654435761 >> 7) & jit.mask]
             yield m.acquire
             m.memory.busy_cycles += occupancy
             yield occupancy_delay
@@ -797,34 +719,6 @@ def output_loop(ctx: MicroContext, chip, ports) -> Generator:
                 me.busy_cycles += c_swap
                 yield d_swap
             mem_index += 1
-            if mem_index == 5:
-                break
-        if c_enable_slot:
-            me.busy_cycles += c_enable_slot
-            yield d_enable_slot
-        # ix_transfer(ix_bus), inlined: block off-engine for the 64-byte
-        # FIFO DMA over the IX bus.
-        ctx.holding_core = False
-        core.release()
-        yield ix_acquire
-        ixj._counter = jc = ixj._counter + 1
-        yield ix_delays[(jc * 2654435761 >> 7) & ix_mask]
-        ix_bus.release()
-        yield core_acquire
-        ctx.holding_core = True
-        if c_swap:
-            me.busy_cycles += c_swap
-            yield d_swap
-        if c_loop_overhead:
-            me.busy_cycles += c_loop_overhead
-            yield d_loop_overhead
-        ctx.mps_processed += 1
-
-        current[1] -= 1
-        chip.record_output_mp(ctx, current[0])
-        if current[1] <= 0:
-            chip.complete_packet(current[0])
-            current = None
 
 
 # ---------------------------------------------------------------------------
@@ -873,5 +767,4 @@ def dram_direct_input_loop(ctx: MicroContext, chip, source) -> Generator:
             yield from _enqueue(ctx, chip, item, handle)
         yield from ctx.busy(cost.input_loop_overhead)
         yield from ctx.mem(chip.scratch, "write", "input.portstate")
-        ctx.mps_processed += 1
         chip.record_input_mp(ctx, item)

@@ -238,8 +238,7 @@ def test_bridge_retries_are_bounded_when_pentium_is_dead():
     give up after its retry budget and drop by name, not spin forever."""
     router = booted()
     router.strongarm.params = dataclasses.replace(
-        router.strongarm.params, bridge_retry_limit=10,
-        bridge_backoff_growth=2.0)
+        router.strongarm.params, bridge_retry_limit=10)
     injector = router.enable_faults(seed=0)
     injector.schedule_host_crash(router.pentium, at=1, label="pentium")
     # More packets than the 64-deep I2O pair: once it fills, every

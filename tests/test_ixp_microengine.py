@@ -101,6 +101,24 @@ def test_bad_mem_op_rejected():
         sim.run()
 
 
+def test_bad_mem_op_rejected_before_it_acts():
+    """A rejected op charges no issue cycle and keeps the engine."""
+    sim = Simulator()
+    me = make_me(sim)
+    ctx = me.new_context()
+    mem = Memory(sim, MemoryKind.SRAM, MemoryTiming(4, 22, 22, 4))
+
+    def bad():
+        yield from ctx.start()
+        yield from ctx.mem(mem, "rd", "t")
+
+    sim.spawn(bad())
+    with pytest.raises(ValueError, match="bad memory op"):
+        sim.run()
+    assert (sim.now, me.busy_cycles, ctx.holding_core, me.core.in_use) == (0, 0, True, 1)
+    assert mem.access_counts == {}
+
+
 def test_context_limit_per_engine():
     sim = Simulator()
     me = make_me(sim)
