@@ -14,6 +14,7 @@ same arena the deterministic scenarios already cover.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -153,6 +154,10 @@ def run_trial(seed: int, trial: int,
     """Run one fault schedule (generated from ``(seed, trial)`` unless
     given explicitly -- replay and the shrinker pass their own) and
     evaluate the recovery invariants."""
+    # Simulator.run suspends the cyclic collector and a finished trial's
+    # topology is cyclic garbage (about 5 MB), which would otherwise
+    # wait for a rare full collection: free it before building this one.
+    gc.collect()
     if schedule is None:
         schedule = generate_schedule(seed, trial, RING_LINKS, RING_ROUTERS,
                                      window)

@@ -26,13 +26,13 @@ def _print_table(title: str, rows: List[tuple]) -> None:
 
 
 def cmd_table1(args) -> None:
+    from repro.analysis.report import TABLE1_PAPER
     from repro.ixp.workbench import table1_rows
 
     rows = table1_rows(window=args.window)
-    paper = {"I.1": 3.75, "I.2": 3.47, "I.3": 1.67, "O.1": 3.78, "O.2": 3.41, "O.3": 3.29}
     _print_table(
         "Table 1: queueing disciplines (Mpps, paper in parens)",
-        [(name, f"{mpps:5.2f}  ({paper[name.split()[0]]})") for name, mpps in rows.items()],
+        [(name, f"{mpps:5.2f}  ({TABLE1_PAPER[name.split()[0]]})") for name, mpps in rows.items()],
     )
 
 

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from repro.core.forwarder import ForwarderSpec, Where
 from repro.core.vrp import RegOps, SramRead, SramWrite, VRPProgram
-
-CLOCK_HZ = 200e6
+from repro.ixp.params import CLOCK_HZ
 
 
 def limit_action(packet, state) -> bool:

@@ -18,6 +18,7 @@ from repro.core.admission import AdmissionControl, PentiumCapacity, StrongARMCap
 from repro.core.classifier import Classifier, FlowTable
 from repro.core.forwarder import ALL, ForwarderSpec, Where
 from repro.core.forwarders import full_ip, minimal_ip
+from repro.core.interface import RouterInterface
 from repro.core.vrp import PROTOTYPE_BUDGET, VRPBudget
 from repro.engine import Simulator
 from repro.hosts.pci import I2OQueuePair, PCIBus
@@ -48,10 +49,7 @@ class RouterConfig:
     # multi-queue output discipline.
     wfq: Optional["InputSideWFQ"] = None
     budget: VRPBudget = field(default_factory=lambda: PROTOTYPE_BUDGET)
-    sa_mode: str = "polling"
     with_pentium: bool = True
-    install_default_ip: bool = True
-    allow_local_sa_forwarders: bool = True
     # Optional extension: answer TTL expiry with ICMP Time Exceeded
     # (generated on the StrongARM) instead of silently dropping.
     generate_icmp_errors: bool = False
@@ -76,9 +74,7 @@ class Router:
         self.admission = AdmissionControl(
             budget=self.config.budget,
             pentium=PentiumCapacity(),
-            strongarm=StrongARMCapacity(
-                local_forwarder_fraction=0.3 if self.config.allow_local_sa_forwarders else 0.0
-            ),
+            strongarm=StrongARMCapacity(local_forwarder_fraction=0.3),
         )
 
         output_discipline = self.config.output_discipline
@@ -113,7 +109,6 @@ class Router:
         self.from_pentium = I2OQueuePair(name="pentium->ixp")
         self.strongarm = StrongARM(
             self.chip,
-            mode=self.config.sa_mode,
             pentium_pair=self.to_pentium if self.config.with_pentium else None,
         )
         self.pentium: Optional[PentiumHost] = None
@@ -138,10 +133,16 @@ class Router:
         self._vrp_watchdog = None
 
         # Control interface over the input engines' instruction stores.
-        self.interface = RouterInterfaceFactory.build(self)
+        self.interface = RouterInterface(
+            flow_table=self.flow_table,
+            classifier=self.classifier,
+            admission=self.admission,
+            istores=self.chip.istores[: self.config.input_mes],
+            strongarm=self.strongarm,
+            pentium=self.pentium,
+        )
         self._boot_strongarm_services()
-        if self.config.install_default_ip:
-            self.ip_fid = self.interface.install(ALL, minimal_ip())
+        self.ip_fid = self.interface.install(ALL, minimal_ip())
 
     def enable_observability(self, recorder=None, sample_period: Optional[int] = None):
         """Attach one live recorder across the whole hierarchy: the chip
@@ -160,16 +161,14 @@ class Router:
                        name="obs-host-sampler")
         return recorder
 
-    def enable_faults(self, injector=None, seed: int = 0):
+    def enable_faults(self, seed: int = 0):
         """Attach a deterministic fault injector (see
         :mod:`repro.faults.injector`) across the whole hierarchy: every
         MAC port and both I2O queue pairs point at it, and scheduled
         faults (crashes, stalls, spikes) target this router's parts."""
         from repro.faults.injector import FaultInjector
 
-        if injector is None:
-            injector = FaultInjector(self.sim, seed=seed)
-        return injector.attach_router(self)
+        return FaultInjector(self.sim, seed=seed).attach_router(self)
 
     def enable_vrp_watchdog(self, strike_limit: int = 8, slack_cycles: int = 0):
         """Attach runtime VRP budget enforcement (see
@@ -430,20 +429,3 @@ class Router:
             snap["vrp_quarantined"] = len(self._vrp_watchdog.quarantined)
         return snap
 
-
-class RouterInterfaceFactory:
-    """Builds the RouterInterface with the router's components (kept out
-    of Router.__init__ for testability)."""
-
-    @staticmethod
-    def build(router: Router):
-        from repro.core.interface import RouterInterface
-
-        return RouterInterface(
-            flow_table=router.flow_table,
-            classifier=router.classifier,
-            admission=router.admission,
-            istores=router.chip.istores[: router.config.input_mes],
-            strongarm=router.strongarm,
-            pentium=router.pentium,
-        )

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
+from repro.ixp.params import CLOCK_HZ
 from repro.ixp.programs import TimedVRP
 
 BRANCH_DELAY_CYCLES = 2  # per jump: "branch delays must be taken into consideration"
@@ -264,7 +265,6 @@ PROTOTYPE_BUDGET = VRPBudget()
 def budget_for_line_rate(
     rate_pps: float,
     input_mes: int = 4,
-    clock_hz: float = 200e6,
     base_cycles: int = 270,
     efficiency: float = 0.72,
 ) -> VRPBudget:
@@ -280,7 +280,7 @@ def budget_for_line_rate(
     """
     if rate_pps <= 0:
         raise ValueError("rate must be positive")
-    per_mp = input_mes * clock_hz / rate_pps
+    per_mp = input_mes * CLOCK_HZ / rate_pps
     cycles = max(0, int(per_mp * efficiency) - base_cycles)
     sram = max(0, min(cycles // 10, 64))
     return VRPBudget(

@@ -20,21 +20,15 @@ from repro.engine.sim import (
     Simulator,
     delay,
 )
-from repro.engine.stats import Counter, Histogram, RateMeter, StatSet, TimeWeighted
 
 __all__ = [
-    "Counter",
     "Delay",
     "delay",
     "Event",
-    "Histogram",
     "Interrupt",
     "Process",
-    "RateMeter",
     "Resource",
     "Signal",
     "SimulationError",
     "Simulator",
-    "StatSet",
-    "TimeWeighted",
 ]

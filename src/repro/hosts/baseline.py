@@ -17,10 +17,9 @@ from typing import Generator, Iterable, Optional
 
 from repro.engine import Delay, Simulator
 from repro.hosts.pci import PCIBus
+from repro.ixp.params import CLOCK_HZ
 from repro.net.packet import Packet
 from repro.net.routing import RoutingTable
-
-SIM_CLOCK_HZ = 200e6
 
 
 @dataclass(frozen=True)
@@ -35,7 +34,7 @@ class PCParams:
 
     @property
     def ratio(self) -> float:
-        return self.clock_hz / SIM_CLOCK_HZ
+        return self.clock_hz / CLOCK_HZ
 
     def per_packet_cycles(self, frame_len: int) -> float:
         return self.driver_cycles + self.ip_forward_cycles + self.copy_cycles_per_byte * frame_len
@@ -98,4 +97,4 @@ class PurePCRouter:
         elapsed = self.sim.now - start_cycle
         if elapsed <= 0:
             return 0.0
-        return self.forwarded * SIM_CLOCK_HZ / elapsed
+        return self.forwarded * CLOCK_HZ / elapsed

@@ -18,11 +18,10 @@ from repro.hosts.pentium import PentiumHost
 from repro.hosts.strongarm import StrongARM
 from repro.ixp.buffers import BufferHandle
 from repro.ixp.chip import ChipConfig, IXP1200
+from repro.ixp.params import CLOCK_HZ
 from repro.ixp.queues import PacketDescriptor
 from repro.net.packet import make_tcp_packet
 from repro.obs.metrics import Deltas
-
-SIM_CLOCK_HZ = 200e6
 
 
 class PathMeasurement(NamedTuple):
@@ -103,7 +102,7 @@ def measure_pentium_path(
     sim.run(until=warmup + window)
 
     packets = pentium.window.peek()["processed"]
-    rate = packets * SIM_CLOCK_HZ / window
+    rate = packets * CLOCK_HZ / window
     sa_moved = bridge.peek()
     sa_packets = max(1, sa_moved["bridged"])
     sa_spare = max(0.0, (window - sa_moved["busy"]) / sa_packets)
@@ -142,4 +141,4 @@ def measure_strongarm_path(
     handled = Deltas(lambda: {"packets": sa.local_processed})
     sim.schedule(warmup, handled)  # the window opens: a new baseline
     sim.run(until=warmup + window)
-    return handled.peek()["packets"] * SIM_CLOCK_HZ / window
+    return handled.peek()["packets"] * CLOCK_HZ / window

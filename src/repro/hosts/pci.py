@@ -20,12 +20,12 @@ from typing import Any, Deque, NamedTuple, Optional
 
 from repro.engine import Resource, Simulator
 from repro.faults.injector import NULL_INJECTOR
+from repro.ixp.params import CLOCK_HZ
 from repro.obs.recorder import NULL_RECORDER
 
 # 32-bit x 33 MHz PCI: 1.056 Gbps.  In 200 MHz simulation cycles, one
 # byte takes 8 bits / 1.056e9 * 200e6 = ~1.515 cycles.
 PCI_BITS_PER_SECOND = 32 * 33_000_000
-SIM_CLOCK_HZ = 200e6
 
 # Eager transfer unit: 64 packet bytes + 8-byte internal routing header.
 EAGER_BYTES = 64 + 8
@@ -35,7 +35,7 @@ def pci_transfer_cycles(num_bytes: int) -> int:
     """Simulation cycles (200 MHz) the bus is occupied moving ``num_bytes``."""
     if num_bytes < 0:
         raise ValueError(f"negative transfer size {num_bytes}")
-    return math.ceil(num_bytes * 8 / PCI_BITS_PER_SECOND * SIM_CLOCK_HZ)
+    return math.ceil(num_bytes * 8 / PCI_BITS_PER_SECOND * CLOCK_HZ)
 
 
 class PCIBus:

@@ -18,10 +18,9 @@ from typing import Callable, Dict, Generator, Optional
 from repro.engine import Delay, Simulator, delay
 from repro.hosts.pci import I2OMessage, I2OQueuePair, PCIBus
 from repro.hosts.scheduling import StrideScheduler
+from repro.ixp.params import CLOCK_HZ
 from repro.obs.metrics import Deltas
 from repro.obs.recorder import NULL_RECORDER
-
-SIM_CLOCK_HZ = 200e6
 
 
 @dataclass(frozen=True)
@@ -35,7 +34,7 @@ class PentiumParams:
     @property
     def ratio(self) -> float:
         """Pentium cycles per simulation (200 MHz) cycle."""
-        return self.clock_hz / SIM_CLOCK_HZ
+        return self.clock_hz / CLOCK_HZ
 
     def to_sim_cycles(self, pentium_cycles: float) -> int:
         return max(1, round(pentium_cycles / self.ratio))

@@ -41,7 +41,6 @@ class SAParams:
     * Pentium bridging: ~374 cycles/packet -> saturation at ~534 Kpps.
     """
 
-    clock_hz: float = 200e6
     dispatch_cycles: int = 244       # dequeue bookkeeping + jump table
     bridge_busy_cycles: int = 290    # I2O send path (software-emulated)
     interrupt_overhead_cycles: int = 420  # per-packet cost in interrupt mode
@@ -151,10 +150,10 @@ class StrongARM:
                 continue
             # Pentium-bound packets take precedence over local ones
             # (section 4.1's priority scheme).
-            descriptor = chip.sa_dequeue(chip.sa_pentium_queue)
+            descriptor = chip.sa_pentium_queue.dequeue()
             to_pentium = descriptor is not None
             if descriptor is None:
-                descriptor = chip.sa_dequeue(chip.sa_local_queue)
+                descriptor = chip.sa_local_queue.dequeue()
             if descriptor is None:
                 if self.scheduler is not None and self.scheduler.backlog:
                     self.holding = True
@@ -189,7 +188,7 @@ class StrongARM:
             if descriptor is not None:
                 self.scheduler.enqueue(self._forwarder_for(descriptor).name, descriptor)
             while True:
-                more = self.chip.sa_dequeue(self.chip.sa_local_queue)
+                more = self.chip.sa_local_queue.dequeue()
                 if more is None:
                     break
                 self.scheduler.enqueue(self._forwarder_for(more).name, more)

@@ -65,7 +65,6 @@ class ChipConfig:
     num_ports: int = 8
     queues_per_port: int = 1
     queue_capacity: int = 256
-    batch_size: int = 8
 
     # Traffic: "synthetic" (infinitely fast ports) or "ports" (real MACs).
     traffic: str = "synthetic"
@@ -247,7 +246,7 @@ class IXP1200:
         from repro.ixp.memory import AccessJitter
 
         MicroContext._IX_JITTER = AccessJitter()
-        self.hash_unit = HashUnit(self.sim)
+        self.hash_unit = HashUnit()
         self.pool = BufferPool(params.buffer_count, params.buffer_bytes)
 
         # Engines + per-engine instruction stores.
@@ -557,11 +556,6 @@ class IXP1200:
             rec.record(self.sim.now, "chip", "drop",
                        rec.packet_id(item.packet), item.out_port)
 
-    def record_input_mp(self, ctx: MicroContext, item: WorkItem) -> None:
-        self.counters["input_mps"] += 1
-        if item.is_first:
-            self.counters["input_packets"] += 1
-
     def select_output_queue(self, ports: Sequence[int], discipline: OutputDiscipline):
         if self.config.output_only:
             port = ports[0] if ports else 0
@@ -582,9 +576,6 @@ class IXP1200:
             if queue is not None:
                 return queue
         return None
-
-    def record_output_mp(self, ctx: MicroContext, descriptor: PacketDescriptor) -> None:
-        self.counters["output_mps"] += 1
 
     def complete_packet(self, descriptor: PacketDescriptor) -> None:
         """All MPs of a packet transmitted: validate the buffer lifetime
@@ -608,9 +599,6 @@ class IXP1200:
                 port.put_mp(mp)
 
     # -- StrongARM-side helpers (used by repro.hosts) -------------------------------
-
-    def sa_dequeue(self, queue: PacketQueue) -> Optional[PacketDescriptor]:
-        return queue.dequeue()
 
     def requeue_from_sa(self, descriptor: PacketDescriptor) -> bool:
         """The StrongARM finished with an exceptional packet; put it on the

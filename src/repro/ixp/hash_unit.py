@@ -10,20 +10,13 @@ from __future__ import annotations
 
 from typing import Generator
 
-from repro.engine import Simulator, delay
-from repro.net.routing import hardware_hash
+from repro.engine import delay
 
 
 class HashUnit:
     """One-cycle hash engine."""
 
-    def __init__(self, sim: Simulator, cycles_per_hash: int = 1):
-        self.sim = sim
-        self.cycles_per_hash = cycles_per_hash
-
-    def compute(self, value: int, bits: int = 16) -> int:
-        """Functional hash (no simulated time); pair with :meth:`use`."""
-        return hardware_hash(value, bits)
+    cycles_per_hash = 1
 
     def use(self, count: int = 1) -> Generator:
         """Timed usage from a context program."""
@@ -31,7 +24,3 @@ class HashUnit:
             raise ValueError("hash count must be non-negative")
         if count:
             yield delay(self.cycles_per_hash * count)
-
-    def combine(self, a: int, b: int, bits: int = 16) -> int:
-        """Combine two hashed values into a flow-table index (section 4.5)."""
-        return hardware_hash((a << 16) ^ b, bits)

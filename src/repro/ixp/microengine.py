@@ -165,16 +165,6 @@ class MicroContext:
             me.busy_cycles += self._swap_cycles
             yield self._swap_delay
 
-    def yield_me(self) -> Generator:
-        """Voluntary context arbitration (``ctx_arb``): give waiting
-        siblings -- and above all an incoming token holder -- a chance to
-        run.  Real microcode reaches an arbitration point every handful of
-        instructions; the loop programs insert these at the natural
-        protocol-processing boundaries so simulated busy runs do not
-        monopolize an engine for unrealistically long stretches."""
-        self._swap_out()
-        yield from self._swap_in()
-
     def blocked(self, cycles: int) -> Generator:
         """Block off-engine for a fixed time (e.g. a DMA transfer)."""
         self._swap_out()

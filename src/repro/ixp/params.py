@@ -19,6 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+#: The simulation clock: one cycle is one 200 MHz MicroEngine cycle
+#: (section 2.2), the time unit of every simulated component.
+CLOCK_HZ = 200e6
+
 
 @dataclass(frozen=True)
 class MemoryTiming:
@@ -90,7 +94,7 @@ class CostModel:
 class IXPParams:
     """The IXP1200 evaluation system (paper section 2.2)."""
 
-    clock_hz: float = 200e6
+    clock_hz: float = CLOCK_HZ
     num_microengines: int = 6
     contexts_per_me: int = 4
     fifo_slots: int = 16
@@ -126,10 +130,6 @@ class IXPParams:
     # DRAM buffer pool: 16 MB as 8192 x 2 KB circular buffers (3.2.3).
     buffer_count: int = 8192
     buffer_bytes: int = 2048
-
-    # StrongARM (same die, same clock).  Measured envelope constants from
-    # section 3.6 / Table 4; see repro.hosts.strongarm.
-    strongarm_clock_hz: float = 200e6
 
     cost: CostModel = field(default_factory=CostModel)
 

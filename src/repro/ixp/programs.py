@@ -25,6 +25,9 @@ from repro.ixp.queues import InputDiscipline, OutputDiscipline, PacketDescriptor
 #: (repro.ixp.parking models the saturated loop from these).
 OUTPUT_BACKOFF_STEP = 20
 OUTPUT_BACKOFF = 200
+#: Row O.1 (single queue with batching) dequeues up to this many packets
+#: per head-pointer read.
+OUTPUT_BATCH = 8
 
 
 class WorkItem(NamedTuple):
@@ -142,7 +145,7 @@ def input_loop(ctx: MicroContext, chip, source) -> Generator:
     The per-MP timed-operation stream is identical on every iteration,
     so all costs, delay commands and memory-reference plans are resolved
     once up front, and the hot :class:`MicroContext` helpers (``busy``,
-    ``mem``, ``yield_me``) are inlined so each simulator event resumes
+    ``mem``, the token steps) are inlined so each simulator event resumes
     exactly one generator frame.  Each step has one copy: one token pass
     serves the empty and the busy hop, and one reference block drives an
     MP's references, ``mem_refs`` or, once the first MP of a packet
@@ -195,6 +198,7 @@ def input_loop(ctx: MicroContext, chip, source) -> Generator:
     private_q = bank.input_discipline is InputDiscipline.PRIVATE
     input_queue_for = bank.input_queue_for
     bank_enqueue = bank.enqueue
+    counters = chip.counters
     sim = ctx.sim
     cid = ctx.ctx_id
     ring_order = input_ring.order
@@ -334,7 +338,7 @@ def input_loop(ctx: MicroContext, chip, source) -> Generator:
                 if c_fifo_to_regs:
                     me.busy_cycles += c_fifo_to_regs
                     yield d_fifo_to_regs
-                # yield_me(), inlined: release and re-acquire the engine.
+                # ctx_arb, inlined: release and re-acquire the engine.
                 ctx.holding_core = False
                 core.release()
                 yield core_acquire
@@ -354,7 +358,7 @@ def input_loop(ctx: MicroContext, chip, source) -> Generator:
                 vrp = chip.vrp_for(item)
                 if vrp is not None:
                     yield from run_vrp(ctx, chip, vrp, item)
-                # yield_me(), inlined: release and re-acquire the engine.
+                # ctx_arb, inlined: release and re-acquire the engine.
                 ctx.holding_core = False
                 core.release()
                 yield core_acquire
@@ -374,7 +378,7 @@ def input_loop(ctx: MicroContext, chip, source) -> Generator:
                 # (filter, dropper, TTL).
                 dropped = item.packet is not None and item.packet.meta.get("vrp_drop", False)
                 if dropped and item.is_first:
-                    chip.counters["vrp_dropped"] += 1
+                    counters["vrp_dropped"] += 1
                 if item.is_first and not dropped:
                     if private_q and not item.exceptional:
                         # _enqueue's row I.1 path, inlined: its two
@@ -409,7 +413,9 @@ def input_loop(ctx: MicroContext, chip, source) -> Generator:
                     yield d_loop_overhead
             elif mem_index == len(refs):
                 break
-        chip.record_input_mp(ctx, item)
+        counters["input_mps"] += 1
+        if item.is_first:
+            counters["input_packets"] += 1
 
 
 def _enqueue(ctx: MicroContext, chip, item: WorkItem, handle: BufferHandle) -> Generator:
@@ -510,9 +516,9 @@ def output_loop(ctx: MicroContext, chip, ports) -> Generator:
     sram = chip.sram
     batched = discipline is OutputDiscipline.SINGLE_BATCHED
     multi = discipline is OutputDiscipline.MULTI_INDIRECT
-    batch_size = chip.config.batch_size
     select_output_queue = chip.select_output_queue
     bank_dequeue = chip.bank.dequeue
+    counters = chip.counters
     me = ctx.me
     core = me.core
     core_acquire = core.acquire()
@@ -597,7 +603,7 @@ def output_loop(ctx: MicroContext, chip, ports) -> Generator:
                 me.busy_cycles += c_select_queue
                 yield d_select_queue
             if batched:
-                batch_remaining = batch_size
+                batch_remaining = OUTPUT_BATCH
             mem_index = 0
 
         # Select read, dequeue commit (Table 2 charges the output stage
@@ -691,7 +697,7 @@ def output_loop(ctx: MicroContext, chip, ports) -> Generator:
                     me.busy_cycles += c_loop_overhead
                     yield d_loop_overhead
                 current[1] -= 1
-                chip.record_output_mp(ctx, current[0])
+                counters["output_mps"] += 1
                 if current[1] <= 0:
                     chip.complete_packet(current[0])
                     current = None
@@ -767,4 +773,6 @@ def dram_direct_input_loop(ctx: MicroContext, chip, source) -> Generator:
             yield from _enqueue(ctx, chip, item, handle)
         yield from ctx.busy(cost.input_loop_overhead)
         yield from ctx.mem(chip.scratch, "write", "input.portstate")
-        chip.record_input_mp(ctx, item)
+        chip.counters["input_mps"] += 1
+        if item.is_first:
+            chip.counters["input_packets"] += 1

@@ -49,7 +49,6 @@ def measure_input_rate(
     discipline: InputDiscipline = InputDiscipline.PROTECTED,
     contention: bool = False,
     vrp: Optional[TimedVRP] = None,
-    dram_direct: bool = False,
     params: IXPParams = DEFAULT_PARAMS,
     window: int = WINDOW_CYCLES,
 ) -> float:
@@ -68,7 +67,6 @@ def measure_input_rate(
         queue_capacity=HUGE_QUEUE,
         synthetic_pattern="single" if contention else "uniform",
         vrp=vrp,
-        dram_direct=dram_direct,
     )
     return _measure(config, params, window).input_pps
 
@@ -91,24 +89,12 @@ def measure_output_rate(
 
 
 def measure_system_rate(
-    input_discipline: InputDiscipline = InputDiscipline.PROTECTED,
-    output_discipline: OutputDiscipline = OutputDiscipline.SINGLE_BATCHED,
-    contention: bool = False,
     vrp: Optional[TimedVRP] = None,
-    exceptional_every: int = 0,
     params: IXPParams = DEFAULT_PARAMS,
     window: int = WINDOW_CYCLES,
 ) -> Measurement:
     """Full-pipeline rate with the paper's 4/2 MicroEngine split."""
-    config = ChipConfig(
-        input_mes=4,
-        output_mes=2,
-        input_discipline=input_discipline,
-        output_discipline=output_discipline,
-        synthetic_pattern="single" if contention else "uniform",
-        vrp=vrp,
-        synthetic_exceptional_every=exceptional_every,
-    )
+    config = ChipConfig(input_mes=4, output_mes=2, vrp=vrp)
     return _measure(config, params, window)
 
 

@@ -15,6 +15,7 @@ from typing import Deque, Iterable, Iterator, List, Optional, Tuple
 
 from repro.engine import Delay, Simulator
 from repro.faults.injector import NULL_INJECTOR, RX_DROP, RX_DUPLICATE
+from repro.ixp.params import CLOCK_HZ
 from repro.net.ethernet import wire_bits
 from repro.net.mp import MacPacket, reassemble_mps, segment_packet
 from repro.net.packet import Packet
@@ -48,13 +49,11 @@ class MACPort:
         sim: Simulator,
         port_id: int,
         speed: PortSpeed = PortSpeed.MBPS_100,
-        clock_hz: float = 200e6,
         rx_buffer_mps: int = 32,
     ):
         self.sim = sim
         self.port_id = port_id
         self.speed = speed
-        self.clock_hz = clock_hz
         self.rx_buffer_mps = rx_buffer_mps
         self.rx_buffer: Deque[MacPacket] = deque()
         self.tx_partial: List[MacPacket] = []
@@ -80,7 +79,7 @@ class MACPort:
     def frame_cycles(self, frame_len: int) -> int:
         """Cycles a frame of ``frame_len`` bytes occupies the wire."""
         seconds = wire_bits(frame_len) / self.speed.bps
-        return max(1, round(seconds * self.clock_hz))
+        return max(1, round(seconds * CLOCK_HZ))
 
     def attach_source(self, packets: Iterable[Packet]) -> None:
         """Start a process that delivers ``packets`` at line speed."""
@@ -174,11 +173,6 @@ class MACPort:
         return f"<MACPort {self.port_id} {self.speed.name}>"
 
 
-def make_board_ports(
-    sim: Simulator,
-    clock_hz: float = 200e6,
-    speeds: Optional[Iterable[PortSpeed]] = None,
-) -> List[MACPort]:
+def make_board_ports(sim: Simulator) -> List[MACPort]:
     """The evaluation-board port set (8 x 100 Mbps + 2 x 1 Gbps)."""
-    speeds = tuple(speeds) if speeds is not None else EVALUATION_BOARD_PORTS
-    return [MACPort(sim, i, speed, clock_hz=clock_hz) for i, speed in enumerate(speeds)]
+    return [MACPort(sim, i, speed) for i, speed in enumerate(EVALUATION_BOARD_PORTS)]

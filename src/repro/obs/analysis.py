@@ -25,15 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from repro.ixp.params import CLOCK_HZ
 # LIFECYCLE_EVENTS / DROP_EVENTS are re-exported for the analysis
 # modules that historically imported them from here; the canonical
 # definitions (and the lint rules that enforce them) live in
 # repro.obs.events.
 from repro.obs.events import DROP_EVENTS, LIFECYCLE_EVENTS  # noqa: F401
 from repro.obs.recorder import Recorder, TraceEvent
-
-#: Simulation clock: 200 MHz (the IXP1200 core clock), for cycle -> us.
-CLOCK_HZ = 200e6
 
 _LIFECYCLE_SET = frozenset(LIFECYCLE_EVENTS)
 _DROP_SET = frozenset(DROP_EVENTS)
@@ -315,15 +313,14 @@ _COMPONENT_PID = 1
 _PACKET_PID = 2
 
 
-def _us(cycle: int, clock_hz: float) -> float:
-    return round(cycle * 1e6 / clock_hz, 3)
+def _us(cycle: int) -> float:
+    return round(cycle * 1e6 / CLOCK_HZ, 3)
 
 
 def chrome_process_events(
     events: Iterable[TraceEvent],
     pid: int,
     process_name: str,
-    clock_hz: float = CLOCK_HZ,
 ) -> List[Dict[str, Any]]:
     """One Chrome-trace *process* worth of events for one recorder's
     trace: a process metadata record, one thread per component (named on
@@ -354,7 +351,7 @@ def chrome_process_events(
             args["detail"] = str(e.detail)
         instants.append({
             "ph": "i", "pid": pid, "tid": tid, "s": "t",
-            "ts": _us(e.cycle, clock_hz), "name": e.event, "args": args,
+            "ts": _us(e.cycle), "name": e.event, "args": args,
         })
     # Some spans are recorded at a stamp taken earlier in the pipeline
     # (e.g. enqueue at the descriptor's enqueue_cycle), so recorder
@@ -365,15 +362,11 @@ def chrome_process_events(
     return out
 
 
-def to_chrome_trace(
-    events: Iterable[TraceEvent],
-    clock_hz: float = CLOCK_HZ,
-    include_packet_tracks: bool = True,
-) -> Dict[str, Any]:
+def to_chrome_trace(events: Iterable[TraceEvent]) -> Dict[str, Any]:
     """The trace as a Chrome ``traceEvents`` document.
 
     Two process groups: pid 1 holds one thread per *component* with an
-    instant event per recorded span; pid 2 (optional) holds one thread
+    instant event per recorded span; pid 2 holds one thread
     per *packet* with an ``X`` complete event per lifecycle stage, so a
     packet's whole latency decomposition reads as a flame row.  ``ts``
     is microseconds at the 200 MHz simulation clock and is monotonic per
@@ -381,31 +374,30 @@ def to_chrome_trace(
     """
     events = list(events)
     trace: List[Dict[str, Any]] = chrome_process_events(
-        events, _COMPONENT_PID, "components", clock_hz)
+        events, _COMPONENT_PID, "components")
 
-    if include_packet_tracks:
+    trace.append({
+        "ph": "M", "pid": _PACKET_PID, "name": "process_name",
+        "args": {"name": "packets"},
+    })
+    for pid, journey in sorted(build_journeys(events).items()):
         trace.append({
-            "ph": "M", "pid": _PACKET_PID, "name": "process_name",
-            "args": {"name": "packets"},
+            "ph": "M", "pid": _PACKET_PID, "tid": pid,
+            "name": "thread_name",
+            "args": {"name": f"packet {pid} [{journey.path}]"},
         })
-        for pid, journey in sorted(build_journeys(events).items()):
+        for prev, cur in zip(journey.events, journey.events[1:]):
             trace.append({
-                "ph": "M", "pid": _PACKET_PID, "tid": pid,
-                "name": "thread_name",
-                "args": {"name": f"packet {pid} [{journey.path}]"},
+                "ph": "X", "pid": _PACKET_PID, "tid": pid,
+                "ts": _us(prev.cycle),
+                "dur": _us(cur.cycle - prev.cycle),
+                "name": f"{prev.event}->{cur.event}",
+                "args": {"cycles": cur.cycle - prev.cycle},
             })
-            for prev, cur in zip(journey.events, journey.events[1:]):
-                trace.append({
-                    "ph": "X", "pid": _PACKET_PID, "tid": pid,
-                    "ts": _us(prev.cycle, clock_hz),
-                    "dur": round((cur.cycle - prev.cycle) * 1e6 / clock_hz, 3),
-                    "name": f"{prev.event}->{cur.event}",
-                    "args": {"cycles": cur.cycle - prev.cycle},
-                })
     return {
         "traceEvents": trace,
         "displayTimeUnit": "ms",
-        "otherData": {"clock_hz": clock_hz, "source": "repro.obs.analysis"},
+        "otherData": {"clock_hz": CLOCK_HZ, "source": "repro.obs.analysis"},
     }
 
 

@@ -392,14 +392,11 @@ class HealthMonitor:
     """
 
     def __init__(self, chip, recorder: Recorder, router=None,
-                 rules: Optional[List[Rule]] = None, budget=None,
-                 injector=None):
+                 rules: Optional[List[Rule]] = None, budget=None):
         self.chip = chip
         self.recorder = recorder
         self.router = router
-        if injector is None and router is not None:
-            injector = getattr(router, "injector", None)
-        self.injector = injector
+        self.injector = injector = getattr(router, "injector", None)
         self.rules = default_rules() if rules is None else rules
         if injector is not None and rules is None:
             # Only when an injector is attached: healthy scenarios keep

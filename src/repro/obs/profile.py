@@ -289,7 +289,6 @@ class ScenarioRun:
     recorder: Recorder
     router: Any = None                     # set for hierarchy scenarios
     extra_throughput: Optional[Callable[[], Dict[str, float]]] = None
-    description: str = ""
 
     @property
     def sim(self):
@@ -311,10 +310,7 @@ def _build_fastpath(sample_period: int, trace_capacity: int,
     recorder = chip.enable_observability(
         Recorder(capacity=trace_capacity), sample_period=sample_period
     )
-    return ScenarioRun(
-        "fastpath", chip, recorder,
-        description="base fast path (I.2 + O.1), synthetic infinitely-fast ports",
-    )
+    return ScenarioRun("fastpath", chip, recorder)
 
 
 def _build_vrp(sample_period: int, trace_capacity: int,
@@ -328,10 +324,7 @@ def _build_vrp(sample_period: int, trace_capacity: int,
     recorder = chip.enable_observability(
         Recorder(capacity=trace_capacity), sample_period=sample_period
     )
-    return ScenarioRun(
-        "vrp", chip, recorder,
-        description="fast path + 8-block VRP (Figure 9 mixed flavour)",
-    )
+    return ScenarioRun("vrp", chip, recorder)
 
 
 def _build_overload(sample_period: int, trace_capacity: int,
@@ -355,10 +348,7 @@ def _build_overload(sample_period: int, trace_capacity: int,
     recorder = chip.enable_observability(
         Recorder(capacity=trace_capacity), sample_period=sample_period
     )
-    return ScenarioRun(
-        "overload", chip, recorder,
-        description="misbehaving 40-block VRP over budget, shallow single-port queues",
-    )
+    return ScenarioRun("overload", chip, recorder)
 
 
 def _build_router(sample_period: int, trace_capacity: int,
@@ -388,10 +378,8 @@ def _build_router(sample_period: int, trace_capacity: int,
             "transmitted": float(len(router.transmitted())),
         }
 
-    return ScenarioRun(
-        "router", router.chip, recorder, router=router, extra_throughput=extra,
-        description="full hierarchy, warm + cold flows (StrongARM route fills)",
-    )
+    return ScenarioRun("router", router.chip, recorder, router=router,
+                       extra_throughput=extra)
 
 
 SCENARIOS: Dict[str, Callable[..., ScenarioRun]] = {

@@ -157,10 +157,11 @@ class Recorder:
     """
 
     enabled = True
+    #: Samples kept per queue-depth and per named time series.
+    SERIES_CAPACITY = 8_192
 
-    def __init__(self, capacity: int = 65_536, series_capacity: int = 8_192):
+    def __init__(self, capacity: int = 65_536):
         self.events = RingBuffer(capacity)
-        self.series_capacity = series_capacity
         self.accounting: Dict[str, Dict[str, float]] = {}
         self.queue_series: Dict[int, RingBuffer] = {}
         self.timeseries: Dict[str, RingBuffer] = {}
@@ -181,13 +182,13 @@ class Recorder:
     def sample_queue(self, cycle: int, queue_id: int, depth: int) -> None:
         series = self.queue_series.get(queue_id)
         if series is None:
-            series = self.queue_series[queue_id] = RingBuffer(self.series_capacity)
+            series = self.queue_series[queue_id] = RingBuffer(self.SERIES_CAPACITY)
         series.append((cycle, depth))
 
     def sample_series(self, name: str, cycle: int, value: float) -> None:
         series = self.timeseries.get(name)
         if series is None:
-            series = self.timeseries[name] = RingBuffer(self.series_capacity)
+            series = self.timeseries[name] = RingBuffer(self.SERIES_CAPACITY)
         series.append((cycle, value))
 
     def packet_id(self, packet: Any) -> Optional[int]:

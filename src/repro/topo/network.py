@@ -45,6 +45,7 @@ from repro.control.linkstate import ADJ_FULL, HELLO_INTERVAL, LinkStateNode
 from repro.core.router import Router, RouterConfig
 from repro.engine import Delay, Simulator
 from repro.faults.injector import RX_CORRUPT, RX_DROP
+from repro.ixp.params import CLOCK_HZ
 from repro.net.ethernet import wire_bits
 from repro.net.ip import PROTO_ICMP
 from repro.net.packet import Packet, make_tcp_packet
@@ -54,12 +55,10 @@ from repro.obs.metrics import (DEFAULT_METRICS_PERIOD, NULL_SAMPLER,
                                fault_probe, link_probe, router_probe)
 from repro.topo.tracing import NULL_TRACER, NetTracer
 
-#: Cycle clock shared with the routers (200 MHz IXP1200 core clock).
-CLOCK_HZ = 200e6
-
 DEFAULT_LINK_LATENCY = 200      # propagation, in cycles
 DEFAULT_QUEUE_LIMIT = 64        # frames in flight per link direction
 DEFAULT_NUM_PORTS = 6
+CONVERGE_STEP = 2_000           # cycles between flooding-quiescence checks
 
 #: meta keys that survive a link crossing (everything else is one
 #: router's private annotation and must not leak to the next hop).
@@ -692,7 +691,7 @@ class Topology:
     def _quiesced(self) -> bool:
         return self._control_settled() and self._lsdbs_equal()
 
-    def converge(self, max_cycles: int = 1_000_000, step: int = 2_000) -> int:
+    def converge(self, max_cycles: int = 1_000_000) -> int:
         """Originate every node's LSA and run until flooding quiesces
         (all LSAs acked, all LSDBs equal); returns the cycles it took.
         Raises if the horizon is exceeded -- e.g. on a partitioned graph,
@@ -704,7 +703,7 @@ class Topology:
             if self.sim.now - start >= max_cycles:
                 raise RuntimeError(
                     f"link-state flooding did not quiesce within {max_cycles} cycles")
-            self.sim.run(until=self.sim.now + step)
+            self.sim.run(until=self.sim.now + CONVERGE_STEP)
         return self.sim.now - start
 
     def run(self, cycles: int) -> None:

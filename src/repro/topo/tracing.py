@@ -337,8 +337,7 @@ ROUTER_PID_BASE = 10
 FLOW_TID = 9999
 
 
-def merged_chrome_trace(topo, clock_hz: Optional[float] = None,
-                        include_components: bool = True) -> Dict[str, Any]:
+def merged_chrome_trace(topo) -> Dict[str, Any]:
     """One Chrome ``traceEvents`` document for the whole network.
 
     * pid :data:`NETWORK_PID` -- "network": one thread per traced
@@ -358,11 +357,8 @@ def merged_chrome_trace(topo, clock_hz: Optional[float] = None,
     """
     from repro.obs.analysis import CLOCK_HZ, chrome_process_events
 
-    if clock_hz is None:
-        clock_hz = CLOCK_HZ
-
     def us(cycle: int) -> float:
-        return round(cycle * 1e6 / clock_hz, 3)
+        return round(cycle * 1e6 / CLOCK_HZ, 3)
 
     tracer = topo.tracer
     trace: List[Dict[str, Any]] = [
@@ -420,10 +416,10 @@ def merged_chrome_trace(topo, clock_hz: Optional[float] = None,
         node = topo.nodes[name]
         pid = node_pids[name]
         recorder = node.recorder
-        if include_components and recorder is not None and recorder.enabled:
+        if recorder is not None and recorder.enabled:
             trace.extend(chrome_process_events(
                 recorder.events.to_list(), pid=pid,
-                process_name=f"router {name}", clock_hz=clock_hz))
+                process_name=f"router {name}"))
             dropped_events += recorder.dropped_events
         else:
             trace.append({"ph": "M", "pid": pid, "name": "process_name",
@@ -439,7 +435,7 @@ def merged_chrome_trace(topo, clock_hz: Optional[float] = None,
         "traceEvents": trace,
         "displayTimeUnit": "ms",
         "otherData": {
-            "clock_hz": clock_hz,
+            "clock_hz": CLOCK_HZ,
             "source": "repro.topo.tracing",
             "routers": {name: pid for name, pid in sorted(node_pids.items())},
             "truncated": dropped_events > 0,

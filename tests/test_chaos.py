@@ -2,6 +2,7 @@
 campaign byte-identity, schedule shrinking, and the CLI surface."""
 
 import json
+import weakref
 
 import pytest
 
@@ -82,6 +83,27 @@ def test_campaign_artifact_is_byte_identical_per_seed():
     second = run_campaign(7, 2).artifact()
     assert (json.dumps(first, sort_keys=True)
             == json.dumps(second, sort_keys=True))
+
+
+def test_finished_trial_topology_is_freed_before_the_next_is_built(monkeypatch):
+    # Simulator.run suspends the cyclic collector and a topology is
+    # cyclic garbage, so without an explicit collection every finished
+    # trial's topology (about 5 MB) would stay alive into the next ones.
+    from repro.chaos import campaign
+
+    build = campaign.ring_with_primary
+    built = []
+    alive_at_build = []
+
+    def tracked_build(*args, **kwargs):
+        alive_at_build.append(sum(ref() is not None for ref in built))
+        topo = build(*args, **kwargs)
+        built.append(weakref.ref(topo))
+        return topo
+
+    monkeypatch.setattr(campaign, "ring_with_primary", tracked_build)
+    run_campaign(7, 3)
+    assert alive_at_build == [0, 0, 0]
 
 
 @pytest.mark.slow

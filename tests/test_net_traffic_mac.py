@@ -96,16 +96,16 @@ def test_board_has_eight_fast_two_gig_ports():
 
 def test_frame_cycles_matches_line_speed():
     sim = Simulator()
-    port = MACPort(sim, 0, PortSpeed.MBPS_100, clock_hz=200e6)
+    port = MACPort(sim, 0, PortSpeed.MBPS_100)
     # 64B frame + 20B overhead = 672 bits at 100 Mbps = 6.72 us = 1344 cycles.
     assert port.frame_cycles(64) == 1344
-    gig = MACPort(sim, 8, PortSpeed.GBPS_1, clock_hz=200e6)
+    gig = MACPort(sim, 8, PortSpeed.GBPS_1)
     assert gig.frame_cycles(64) == 134
 
 
 def test_rx_pacing_at_line_speed():
     sim = Simulator()
-    port = MACPort(sim, 0, PortSpeed.MBPS_100, clock_hz=200e6, rx_buffer_mps=10_000)
+    port = MACPort(sim, 0, PortSpeed.MBPS_100, rx_buffer_mps=10_000)
     port.attach_source(uniform_flood(10, num_ports=1))
     sim.run()
     assert port.rx_packets == 10

@@ -11,6 +11,9 @@ Reduced windows keep these in the fast lane; determinism does not
 depend on the window length.
 """
 
+from repro.chaos import run_campaign
+from repro.core import router as router_module
+from repro.net.routing import BidirectionalTable, RoutingTable
 from repro.obs import export
 from repro.topo.scenarios import run_topo
 
@@ -53,3 +56,29 @@ def test_seed_is_recorded_in_the_artifact():
     result = run_topo("link-failure", seed=13, window=WINDOW, warmup=WARMUP)[0]
     assert result.seed == 13
     assert '"seed": 13' in result.incident_log_json()
+
+
+def _backend_artifacts():
+    result = run_topo("link-failure", seed=7, window=120_000)[0]
+    topo = result.topo
+    received = {name: list(host.received_log)
+                for name, host in sorted(topo.hosts.items())}
+    tables = {type(node.router.routing_table) for node in topo.nodes.values()}
+    artifacts = (result.incident_log_json(), result.trace_hash, received,
+                 run_campaign(7, 2).to_json())
+    return artifacts, tables
+
+
+def test_lookup_backends_give_byte_identical_network_artifacts(monkeypatch):
+    """The CPE trie and the bidirectional split trie answer the same
+    longest-prefix matches, so building every router on either backend
+    must give the same incident log, trace hash, host receive logs and
+    chaos campaign artifact."""
+    cpe, cpe_tables = _backend_artifacts()
+    make_table = router_module.make_routing_table
+    monkeypatch.setattr(router_module, "make_routing_table",
+                        lambda backend: make_table("bidirectional"))
+    bidirectional, bidirectional_tables = _backend_artifacts()
+    assert cpe_tables == {RoutingTable}
+    assert bidirectional_tables == {BidirectionalTable}
+    assert bidirectional == cpe
