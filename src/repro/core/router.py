@@ -428,4 +428,3 @@ class Router:
         if self._vrp_watchdog is not None:
             snap["vrp_quarantined"] = len(self._vrp_watchdog.quarantined)
         return snap
-
