@@ -143,6 +143,29 @@ def test_netview_all_rejects_chrome_out(tmp_path, bench_root, capsys):
     assert not (bench_root / "BENCH_netview.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["chaos", "--trials", "0"],
+    ["chaos", "--trials", "-1"],
+    ["chaos", "--max-attempts", "0"],
+    ["workloads", "--probes", "0"],
+    ["workloads", "--prefixes", "0"],
+    ["monitor", "fastpath", "--period", "0"],
+    ["monitor", "fastpath", "--window", "0"],
+    ["topo", "link-failure", "--window", "0"],
+    ["profile", "fastpath", "--window", "0"],
+    ["table1", "--window", "0"],
+], ids=" ".join)
+def test_non_positive_counts_are_usage_errors(argv, bench_root, capsys):
+    """Regression: a count below 1 ran zero trials and passed the gate,
+    printed 0.00 Mpps rows, or died with a ValueError traceback and exit
+    1, which the runner contract reserves for a violated invariant."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert argv[-2] in capsys.readouterr().err
+    assert not any(bench_root.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # chaos
 # ---------------------------------------------------------------------------
