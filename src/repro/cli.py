@@ -18,6 +18,14 @@ import sys
 from typing import Callable, Dict, List
 
 
+def _positive(text: str) -> int:
+    """argparse type of a count or cycle window: an int of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _print_table(title: str, rows: List[tuple]) -> None:
     print(f"\n== {title} ==")
     width = max((len(str(r[0])) for r in rows), default=10) + 2
@@ -328,7 +336,7 @@ def _runner(sub, name: str, help: str, scenarios=None, *, seed: bool = True,
                        help="run seed (default 0); every output is "
                        "byte-identical per seed")
     if window is not None:
-        p.add_argument("--window", type=int, default=window,
+        p.add_argument("--window", type=_positive, default=window,
                        help="measurement window in cycles (default %(default)s)")
     if warmup is not None:
         p.add_argument("--warmup", type=int, default=warmup,
@@ -378,7 +386,7 @@ def main(argv=None) -> int:
     sub.add_parser("list", help="list available experiments")
     for name in ("table1", "fig7", "fig9", "fig10", "table4", "paths", "robustness", "envelope"):
         p = sub.add_parser(name, help=f"run the {name} experiment")
-        p.add_argument("--window", type=int, default=150_000,
+        p.add_argument("--window", type=_positive, default=150_000,
                        help="measurement window in cycles (default 150000)")
     plan_parser = sub.add_parser("plan", help="resource model for a port configuration")
     plan_parser.add_argument("speeds", nargs="+", type=int, help="port speeds in Mbps (100 or 1000)")
@@ -391,7 +399,7 @@ def main(argv=None) -> int:
     profile_parser.add_argument("scenario",
                                 choices=("fastpath", "vrp", "router", "overload"),
                                 help="which demo scenario to instrument")
-    profile_parser.add_argument("--window", type=int, default=120_000,
+    profile_parser.add_argument("--window", type=_positive, default=120_000,
                                 help="measurement window in cycles (default 120000)")
     profile_parser.add_argument("--trace-out", default=None,
                                 help="trace output path (default repro-trace-<scenario>.<ext>)")
@@ -407,7 +415,7 @@ def main(argv=None) -> int:
         (("fastpath", "vrp", "router", "overload"),
          "which scenario to monitor (overload is deliberately unhealthy)"),
         seed=False, window=120_000, warmup=20_000, incidents=True)
-    monitor_parser.add_argument("--period", type=int, default=10_000,
+    monitor_parser.add_argument("--period", type=_positive, default=10_000,
                                 help="cycles between rule evaluations (default 10000)")
     monitor_parser.add_argument("--quiet", action="store_true",
                                 help="suppress per-evaluation status lines")
@@ -441,13 +449,13 @@ def main(argv=None) -> int:
         "scenario ring; exits non-zero when any trial violates a recovery "
         "invariant",
         window=90_000, warmup=10_000, bench="chaos")
-    chaos_parser.add_argument("--trials", type=int, default=10,
+    chaos_parser.add_argument("--trials", type=_positive, default=10,
                               help="generated fault schedules to run "
                               "(default 10)")
     chaos_parser.add_argument("--shrink", action="store_true",
                               help="delta-debug each violating schedule to "
                               "a minimal reproducing fault set")
-    chaos_parser.add_argument("--max-attempts", type=int, default=None,
+    chaos_parser.add_argument("--max-attempts", type=_positive, default=None,
                               help="per-LSA retransmit budget (default: the "
                               "channel's; lower to 1 to plant a fragile "
                               "control plane for shrinker demos)")
@@ -465,9 +473,9 @@ def main(argv=None) -> int:
         sub, "workloads", "build BGP-shaped tables, replay internet-shaped "
         "probe streams and verify lookup invariants; exits non-zero when "
         "any invariant breaks")
-    workloads_parser.add_argument("--prefixes", type=int, default=100_000,
+    workloads_parser.add_argument("--prefixes", type=_positive, default=100_000,
                                   help="routing-table size (default 100000)")
-    workloads_parser.add_argument("--probes", type=int, default=100_000,
+    workloads_parser.add_argument("--probes", type=_positive, default=100_000,
                                   help="Zipf probe count (default 100000)")
     workloads_parser.add_argument("--backend",
                                   choices=("cpe", "bidirectional", "both"),
