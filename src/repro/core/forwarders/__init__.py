@@ -24,9 +24,7 @@ TCP proxy >= 800 cycles, full IP >= 660 cycles, prefix-match routing
 from repro.core.forwarders.ack_monitor import spec as ack_monitor
 from repro.core.forwarders.full_ip import spec as full_ip
 from repro.core.forwarders.minimal_ip import spec as minimal_ip
-from repro.core.forwarders.packet_tagger import make_spec as packet_tagger
 from repro.core.forwarders.port_filter import make_spec as port_filter
-from repro.core.forwarders.rate_limiter import make_spec as rate_limiter
 from repro.core.forwarders.syn_monitor import spec as syn_monitor
 from repro.core.forwarders.tcp_proxy import spec as tcp_proxy
 from repro.core.forwarders.tcp_splicer import make_spec as tcp_splicer
@@ -59,9 +57,7 @@ __all__ = [
     "ack_monitor",
     "full_ip",
     "minimal_ip",
-    "packet_tagger",
     "port_filter",
-    "rate_limiter",
     "syn_monitor",
     "table5_specs",
     "tcp_proxy",

@@ -14,16 +14,14 @@ realizes an approximate WFQ schedule: a class exceeding its share is
 pushed to lower priorities whose queues overflow first under congestion.
 
 The per-packet work is a handful of register operations plus one 4-byte
-SRAM read/write of class state -- comfortably inside the VRP budget, as
-the paper anticipated.
+SRAM read/write of class state, as the paper anticipated; the stamp is
+not charged against the VRP budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
-
-from repro.core.vrp import RegOps, SramRead, SramWrite, VRPProgram
 
 
 @dataclass
@@ -89,16 +87,3 @@ class InputSideWFQ:
             if cls.matcher(packet):
                 return cls
         return None
-
-    def served(self) -> Dict[str, int]:
-        return {name: cls.packets for name, cls in self.classes.items()}
-
-
-def wfq_vrp_program() -> VRPProgram:
-    """The data-plane cost of the WFQ stamp, for admission accounting:
-    read class state, compute the level, write it back."""
-    return VRPProgram(
-        "wfq-stamp",
-        [RegOps(9), SramRead(1), RegOps(8), SramWrite(1)],
-        registers_needed=4,
-    )

@@ -36,7 +36,7 @@ import os
 import sys
 from collections import deque
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Deque, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
 
 from repro.obs.recorder import NULL_RECORDER
 
@@ -665,9 +665,6 @@ class Simulator:
         if self.recorder.enabled:
             self.recorder.record(self.now, "sim", "spawn", None, proc.name)
         return proc
-
-    def spawn_all(self, gens: Iterable[Generator], prefix: str = "p") -> List[Process]:
-        return [self.spawn(g, name=f"{prefix}{i}") for i, g in enumerate(gens)]
 
     def event(self, name: str = "") -> Event:
         return Event(self, name)

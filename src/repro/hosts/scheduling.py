@@ -62,17 +62,8 @@ class StrideScheduler:
             flow.pass_value = min(f.pass_value for f in self._flows.values())
         self._flows[name] = flow
 
-    def remove_flow(self, name: str) -> None:
-        if name not in self._flows:
-            raise KeyError(name)
-        del self._flows[name]
-
     def flows(self) -> List[str]:
         return list(self._flows)
-
-    def share_of(self, name: str) -> float:
-        total = sum(f.tickets for f in self._flows.values())
-        return self._flows[name].tickets / total if total else 0.0
 
     # -- packet path -------------------------------------------------------------
 

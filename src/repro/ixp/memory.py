@@ -108,10 +108,6 @@ class Memory:
         )
         return reads, writes
 
-    def reset_counts(self) -> None:
-        self.access_counts.clear()
-        self.busy_cycles = 0
-
     def utilization(self, window_cycles: int) -> float:
         if window_cycles <= 0:
             return 0.0

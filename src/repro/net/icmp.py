@@ -1,10 +1,9 @@
 """ICMP: the error-signalling side of IP forwarding.
 
-A real router answers TTL expiry with an ICMP Time Exceeded message and
-unreachable destinations with Destination Unreachable.  The fast path
-only *detects* these conditions (cheaply, inside the VRP budget);
-generating the reply is exceptional work for the higher levels, which is
-exactly where this module's helpers are called from.
+A real router answers TTL expiry with an ICMP Time Exceeded message.
+The fast path only *detects* the condition (cheaply, inside the VRP
+budget); generating the reply is exceptional work for the higher levels,
+which is exactly where this module's helpers are called from.
 """
 
 from __future__ import annotations
@@ -17,12 +16,10 @@ from repro.net.ip import PROTO_ICMP, IPv4Header, checksum16
 from repro.net.packet import Packet
 
 TYPE_ECHO_REPLY = 0
-TYPE_DEST_UNREACHABLE = 3
 TYPE_ECHO_REQUEST = 8
 TYPE_TIME_EXCEEDED = 11
 
 CODE_TTL_EXCEEDED = 0
-CODE_NET_UNREACHABLE = 0
 
 
 class ICMPMessage:
@@ -81,10 +78,6 @@ def _error_reply(original: Packet, router_addr: IPv4Address, icmp_type: int, cod
 def time_exceeded(original: Packet, router_addr: IPv4Address) -> Packet:
     """The reply a router owes a packet whose TTL hit zero."""
     return _error_reply(original, router_addr, TYPE_TIME_EXCEEDED, CODE_TTL_EXCEEDED)
-
-
-def destination_unreachable(original: Packet, router_addr: IPv4Address) -> Packet:
-    return _error_reply(original, router_addr, TYPE_DEST_UNREACHABLE, CODE_NET_UNREACHABLE)
 
 
 def parse_reply(packet: Packet) -> Optional[ICMPMessage]:

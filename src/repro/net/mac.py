@@ -123,7 +123,6 @@ class MACPort:
         if len(self.rx_buffer) + len(mps) > self.rx_buffer_mps:
             self.rx_dropped_packets += 1
             return False
-        packet.meta["t_arrived"] = self.sim.now
         self.rx_buffer.extend(mps)
         self.rx_packets += 1
         self.rx_mps += len(mps)

@@ -16,7 +16,7 @@ from typing import Any, Dict, NamedTuple, Optional
 from repro.net.addresses import IPv4Address, MACAddress
 from repro.net.ethernet import ETHERTYPE_IPV4, HEADER_LEN as ETH_HEADER_LEN, EthernetHeader
 from repro.net.ip import PROTO_TCP, PROTO_UDP, IPv4Header
-from repro.net.tcp import TCP_SYN, TCPHeader
+from repro.net.tcp import TCPHeader
 
 MIN_FRAME_LEN = 64     # minimum Ethernet frame, including FCS
 FCS_LEN = 4
@@ -168,7 +168,3 @@ def make_udp_like_packet(
     ip.total_length = ip.header_length + len(payload)
     eth = EthernetHeader(dst=MACAddress.for_port(0xFF), src=MACAddress.for_port(0xFE))
     return Packet(eth, ip, None, payload, arrival_port=arrival_port)
-
-
-def make_syn_packet(src: str, dst: str, src_port: int, dst_port: int = 80, **kwargs) -> Packet:
-    return make_tcp_packet(src, dst, src_port, dst_port, flags=TCP_SYN, **kwargs)

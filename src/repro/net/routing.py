@@ -128,9 +128,6 @@ class BaseRoutingTable:
         shift = 32 - length
         return (value >> shift << shift, length)
 
-    def has(self, prefix: Union[str, int], length: int) -> bool:
-        return self._key(IPv4Address(prefix).value, length) in self._routes
-
     def _touch(self) -> None:
         if self._bulk_depth:
             self._dirty = True

@@ -2,9 +2,8 @@
 
 The paper's experiments use: minimum-sized-packet floods at line speed,
 "infinitely fast" sources (the FIFO-recycling trick of section 3.5.1),
-all-traffic-to-one-queue contention workloads, exceptional-packet floods
-(simulated control-packet attacks), and per-flow TCP streams for the
-forwarder examples.  Each generator here is a plain iterable of
+all-traffic-to-one-queue contention workloads, SYN floods, and per-flow
+TCP streams for the forwarder examples.  Each generator here is a plain iterable of
 :class:`~repro.net.packet.Packet`, deterministic under a seed.
 """
 
@@ -12,10 +11,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional
 
-from repro.net.ip import record_route_option
-from repro.net.packet import Packet, make_tcp_packet, make_udp_like_packet
+from repro.net.packet import Packet, make_tcp_packet
 from repro.net.tcp import TCP_ACK, TCP_SYN
 
 
@@ -117,63 +115,6 @@ def syn_flood(
             dst_port=80,
             flags=TCP_SYN,
         )
-
-
-def exceptional_mix(
-    count: int,
-    exceptional_fraction: float,
-    num_ports: int = 8,
-    seed: int = 4,
-) -> Iterator[Packet]:
-    """Regular traffic with a controlled fraction of exceptional packets
-    (IP options), the section 4.7 "flood of control packets" experiment."""
-    if not 0.0 <= exceptional_fraction <= 1.0:
-        raise ValueError(f"bad fraction {exceptional_fraction}")
-    rng = random.Random(seed)
-    for i in range(count):
-        out_port = i % num_ports
-        if rng.random() < exceptional_fraction:
-            yield make_udp_like_packet(
-                src=f"172.16.{rng.randrange(256)}.{rng.randrange(1, 255)}",
-                dst=address_for_port(out_port),
-                options=record_route_option(),
-                payload=b"ctl",
-            )
-        else:
-            yield make_tcp_packet(
-                src=f"192.168.{rng.randrange(256)}.{rng.randrange(1, 255)}",
-                dst=address_for_port(out_port, host=i % 65000 + 1),
-                src_port=1024 + (i % 50000),
-            )
-
-
-def flow_mix(
-    count: int,
-    flows: Sequence[Tuple[str, int, str, int]],
-    weights: Optional[Sequence[float]] = None,
-    num_ports: int = 8,
-    seed: int = 5,
-    payload_len: int = 64,
-) -> Iterator[Packet]:
-    """A weighted mix of named flows, each a (src, sport, dst, dport)
-    4-tuple; used by the per-flow forwarder examples."""
-    rng = random.Random(seed)
-    seqs = {flow: 1 for flow in flows}
-    # Hoisted out of the loop: rebuilding the population list (and the
-    # cumulative weights) per packet made every draw O(len(flows)).
-    population = list(flows)
-    cum_weights = None
-    if weights is not None:
-        cum_weights = list(itertools.accumulate(weights))
-    for __ in range(count):
-        flow = rng.choices(population, cum_weights=cum_weights)[0]
-        src, sport, dst, dport = flow
-        packet = make_tcp_packet(
-            src, dst, sport, dport,
-            flags=TCP_ACK, seq=seqs[flow], payload=b"d" * payload_len,
-        )
-        seqs[flow] += payload_len
-        yield packet
 
 
 def round_robin_merge(*sources: Iterable[Packet]) -> Iterator[Packet]:

@@ -264,47 +264,6 @@ def latency_report(recorder: Recorder) -> Dict[str, Any]:
     }
 
 
-def render_latency_table(report: Dict[str, Any]) -> str:
-    """A human-readable rendering of :func:`latency_report`."""
-    lines = [
-        f"packets traced: {report['packets']} "
-        f"({report['complete']} complete, "
-        f"{report['dropped_in_flight']} dropped in flight)"
-    ]
-    if report["truncated"]:
-        lines.append(
-            f"WARNING: trace ring wrapped ({report['dropped_events']} spans "
-            "lost) -- percentiles cover the surviving suffix only"
-        )
-    for path, block in report["paths"].items():
-        if "end_to_end" not in block:
-            lines.append(f"-- {path}: {block['packets']} packets")
-            continue
-        e2e = block["end_to_end"]
-        lines.append(
-            f"-- {path}: {block['packets']} packets, end-to-end "
-            f"p50 {e2e['p50']:.0f} / p90 {e2e['p90']:.0f} / "
-            f"p99 {e2e['p99']:.0f} cycles (mean {e2e['mean']:.1f})"
-        )
-        for name in block["stage_order"]:
-            s = block["stages"][name]
-            lines.append(
-                f"   {name:<24} p50 {s['p50']:>8.0f}  p90 {s['p90']:>8.0f}  "
-                f"p99 {s['p99']:>8.0f}  mean {s['mean']:>9.1f}"
-            )
-        top = max(
-            block["critical_path"].items(),
-            key=lambda kv: kv[1]["packets"],
-            default=None,
-        )
-        if top is not None:
-            lines.append(
-                f"   critical path: {top[0]} dominates "
-                f"{top[1]['share']:.0%} of packets"
-            )
-    return "\n".join(lines)
-
-
 # ---------------------------------------------------------------------------
 # Chrome-trace / Perfetto export
 # ---------------------------------------------------------------------------

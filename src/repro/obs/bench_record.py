@@ -4,7 +4,7 @@ Every benchmark module already prints a paper-vs-measured table through
 ``benchmarks/conftest.py``'s ``report()`` helper and mirrors the rows
 into pytest-benchmark's ``extra_info``.  This module serializes those
 rows, plus wall time, into one JSON file per bench module at the repo
-root -- the perf baseline future PRs diff against.
+root, so the committed files record each bench's figures over time.
 
 Schema (``repro-bench-trajectory-v2``)::
 
@@ -29,23 +29,17 @@ v2 adds per-row attribution: when the producer passes ``seed`` /
 ``config`` to :func:`record_benchmark`, every row is stamped with them,
 so a perf-history diff can tell a real regression from a changed
 workload.  Rows without attribution (pytest-benchmark modules) stay
-legal, and :func:`load_benchmark` still accepts v1 files -- committed
-baselines never have to be rewritten to stay readable.
+legal.
 """
 
 from __future__ import annotations
 
-import json
 import os
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.obs import export
 
 SCHEMA = "repro-bench-trajectory-v2"
-
-#: Schemas load_benchmark accepts: the current one plus every ancestor
-#: a committed baseline may still carry.
-ACCEPTED_SCHEMAS = (SCHEMA, "repro-bench-trajectory-v1")
 
 #: Environment override for where BENCH_*.json land (tests point this at
 #: a tmp dir; CI leaves it unset so files land at the repo root).
@@ -112,47 +106,3 @@ def record_benchmark(
         fh.write(export.dumps(doc, indent=2, sort_keys=True))
         fh.write("\n")
     return path
-
-
-def load_benchmark(bench_name: str, root: Optional[str] = None) -> Dict[str, Any]:
-    """Load and schema-check one trajectory file."""
-    path = bench_path(bench_name, root)
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("schema") not in ACCEPTED_SCHEMAS:
-        raise ValueError(
-            f"{path}: schema {doc.get('schema')!r}, expected one of "
-            f"{ACCEPTED_SCHEMAS!r}"
-        )
-    return doc
-
-
-def diff_rows(
-    old: Dict[str, Any], new: Dict[str, Any], rel_threshold: float = 0.05
-) -> List[Tuple[str, Optional[float], Optional[float], Optional[float]]]:
-    """Metric-by-metric movement between two trajectory documents:
-    ``(metric, old_measured, new_measured, rel_change)`` for every
-    metric whose measured value moved by more than ``rel_threshold``
-    (or appeared/disappeared, with ``rel_change=None``)."""
-    out: List[Tuple[str, Optional[float], Optional[float], Optional[float]]] = []
-    old_rows = old.get("rows", {})
-    new_rows = new.get("rows", {})
-    for metric in sorted(set(old_rows) | set(new_rows)):
-        before = old_rows.get(metric, {}).get("measured")
-        after = new_rows.get(metric, {}).get("measured")
-        if not isinstance(before, (int, float)) or not isinstance(after, (int, float)):
-            if before != after:
-                out.append((metric, _num(before), _num(after), None))
-            continue
-        if before == 0:
-            if after != 0:
-                out.append((metric, float(before), float(after), None))
-            continue
-        rel = (after - before) / abs(before)
-        if abs(rel) > rel_threshold:
-            out.append((metric, float(before), float(after), rel))
-    return out
-
-
-def _num(value: Any) -> Optional[float]:
-    return float(value) if isinstance(value, (int, float)) else None

@@ -734,21 +734,6 @@ class Topology:
         self.sim.spawn(failer(), name=f"topo-fail-{link.name}")
         return link
 
-    def restore_link(self, a, b, at: int = 0) -> InterRouterLink:
-        """Schedule link (a, b) to come back up ``at`` cycles from now.
-        The adjacency re-forms only once hellos complete the two-way
-        handshake (about two hello intervals): until both ends reach
-        FULL, SPF keeps routing around the link."""
-        link = self.link_between(a, b)
-
-        def restorer():
-            yield Delay(max(1, at))
-            if not link.up:
-                self._bring_link_up(link)
-
-        self.sim.spawn(restorer(), name=f"topo-restore-{link.name}")
-        return link
-
     def _take_link_down(self, link: InterRouterLink) -> None:
         link.up = False
         link.down_at = self.sim.now

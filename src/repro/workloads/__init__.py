@@ -1,4 +1,4 @@
-"""Internet-realistic workloads: full routing tables + heavy-tailed traffic.
+"""Internet-realistic workloads: full routing tables + heavy-tailed probes.
 
 Today's paper scenarios drive ~10-route tables with uniform synthetic
 streams, so the route-cache / CPE-trie split (the robustness argument's
@@ -9,19 +9,15 @@ scales both axes:
   (10k-1M entries, realistic /8-/24 length mix, origin-block clustering
   like real announcement locality);
 * :mod:`repro.workloads.generators` -- Zipf destination popularity,
-  Pareto (heavy-tail) flow sizes, flash-crowd ramps and scan storms,
-  all plain deterministic packet iterables compatible with
-  :mod:`repro.net.traffic`;
+  flash-crowd ramps and scan storms, all plain deterministic streams of
+  destination probes;
 * :mod:`repro.workloads.scenario` -- the invariant-gated
   ``python -m repro workloads`` run: build a table per lookup backend,
   replay the workloads through a route cache, and verify trie==reference
   agreement, accounted drops and bounded miss-path latency.
 """
 
-from repro.workloads.generators import (ZipfSampler, flash_crowd,
-                                        heavy_tail_mix, pareto_flow_sizes,
-                                        scan_storm, zipf_addresses,
-                                        zipf_flood)
+from repro.workloads.generators import ZipfSampler, zipf_addresses
 from repro.workloads.scenario import WorkloadResult, run_workloads
 from repro.workloads.tables import (DEFAULT_LENGTH_MIX, bgp_prefixes,
                                     build_table, destinations_for)
@@ -33,11 +29,6 @@ __all__ = [
     "bgp_prefixes",
     "build_table",
     "destinations_for",
-    "flash_crowd",
-    "heavy_tail_mix",
-    "pareto_flow_sizes",
     "run_workloads",
-    "scan_storm",
     "zipf_addresses",
-    "zipf_flood",
 ]

@@ -1,6 +1,6 @@
 """The benchmark trajectory recorder: BENCH_<name>.json round trips.
 
-Covers the library (record / load / diff) and the ``benchmarks/conftest``
+Covers the library (record) and the ``benchmarks/conftest``
 session hook that turns pytest-benchmark ``extra_info`` rows into
 trajectory files -- exercised here on synthesized benchmark objects so
 the test does not need to run a real bench.
@@ -16,13 +16,20 @@ from repro.obs.bench_record import (
     ROOT_ENV,
     SCHEMA,
     bench_path,
-    diff_rows,
-    load_benchmark,
     record_benchmark,
 )
 
+
+def _load(bench_name, root):
+    """One written trajectory file, checked to carry the current schema."""
+    with open(bench_path(bench_name, str(root))) as fh:
+        doc = json.load(fh)
+    assert doc["schema"] == SCHEMA
+    return doc
+
+
 # ---------------------------------------------------------------------------
-# record / load
+# record
 # ---------------------------------------------------------------------------
 
 
@@ -37,8 +44,7 @@ def test_record_and_load_round_trip(tmp_path):
     path = record_benchmark("bench_demo", rows, tests=tests,
                             root=str(tmp_path))
     assert path == str(tmp_path / "BENCH_bench_demo.json")
-    doc = load_benchmark("bench_demo", root=str(tmp_path))
-    assert doc["schema"] == SCHEMA
+    doc = _load("bench_demo", tmp_path)
     assert doc["bench"] == "bench_demo"
     assert doc["rows"] == rows
     assert doc["wall_time_s"] == pytest.approx(1.25)
@@ -60,21 +66,6 @@ def test_root_env_var_overrides_destination(tmp_path, monkeypatch):
     assert (tmp_path / "BENCH_bench_x.json").exists()
 
 
-def test_load_rejects_wrong_schema(tmp_path):
-    (tmp_path / "BENCH_bad.json").write_text(json.dumps({"schema": "v0"}))
-    with pytest.raises(ValueError, match="schema"):
-        load_benchmark("bad", root=str(tmp_path))
-
-
-def test_load_accepts_v1_baselines(tmp_path):
-    """Committed v1 trajectory files stay readable after the v2 bump."""
-    doc = {"schema": "repro-bench-trajectory-v1", "bench": "old",
-           "rows": {"mpps": {"paper": None, "measured": 3.0}}}
-    (tmp_path / "BENCH_old.json").write_text(json.dumps(doc))
-    loaded = load_benchmark("old", root=str(tmp_path))
-    assert loaded["rows"]["mpps"]["measured"] == 3.0
-
-
 def test_seed_and_config_stamp_every_row(tmp_path):
     rows = {"delivered": {"paper": None, "measured": 56}}
     tests = {"test_t": {"wall_time_s": 0.5,
@@ -82,7 +73,7 @@ def test_seed_and_config_stamp_every_row(tmp_path):
     record_benchmark("bench_stamped", rows, tests=tests, root=str(tmp_path),
                      seed=7, config={"scenario": "link-failure",
                                      "window": 120_000})
-    doc = load_benchmark("bench_stamped", root=str(tmp_path))
+    doc = _load("bench_stamped", tmp_path)
     assert doc["schema"] == "repro-bench-trajectory-v2"
     row = doc["rows"]["delivered"]
     assert row["seed"] == 7
@@ -94,7 +85,7 @@ def test_seed_and_config_stamp_every_row(tmp_path):
 def test_row_local_attribution_wins_over_stamp(tmp_path):
     rows = {"m": {"paper": None, "measured": 1.0, "seed": 99}}
     record_benchmark("bench_local", rows, root=str(tmp_path), seed=7)
-    doc = load_benchmark("bench_local", root=str(tmp_path))
+    doc = _load("bench_local", tmp_path)
     assert doc["rows"]["m"]["seed"] == 99
 
 
@@ -102,39 +93,8 @@ def test_unstamped_rows_stay_unchanged(tmp_path):
     """pytest-benchmark modules pass no seed/config; rows stay bare."""
     rows = {"m": {"paper": None, "measured": 1.0}}
     record_benchmark("bench_bare", rows, root=str(tmp_path))
-    doc = load_benchmark("bench_bare", root=str(tmp_path))
+    doc = _load("bench_bare", tmp_path)
     assert doc["rows"]["m"] == {"paper": None, "measured": 1.0}
-
-
-# ---------------------------------------------------------------------------
-# diff
-# ---------------------------------------------------------------------------
-
-
-def _doc(rows):
-    return {"schema": SCHEMA, "bench": "b", "rows": rows}
-
-
-def test_diff_rows_reports_movement_beyond_threshold():
-    old = _doc({"mpps": {"paper": 3.47, "measured": 3.0},
-                "drops": {"paper": None, "measured": 10}})
-    new = _doc({"mpps": {"paper": 3.47, "measured": 3.3},
-                "drops": {"paper": None, "measured": 10}})
-    moved = diff_rows(old, new, rel_threshold=0.05)
-    assert moved == [("mpps", 3.0, 3.3, pytest.approx(0.1))]
-
-
-def test_diff_rows_ignores_movement_within_threshold():
-    old = _doc({"mpps": {"paper": None, "measured": 3.0}})
-    new = _doc({"mpps": {"paper": None, "measured": 3.1}})
-    assert diff_rows(old, new, rel_threshold=0.05) == []
-
-
-def test_diff_rows_flags_appeared_and_disappeared_metrics():
-    old = _doc({"gone": {"paper": None, "measured": 1.0}})
-    new = _doc({"fresh": {"paper": None, "measured": 2.0}})
-    moved = dict((m, (b, a)) for m, b, a, __ in diff_rows(old, new))
-    assert moved == {"gone": (1.0, None), "fresh": (None, 2.0)}
 
 
 # ---------------------------------------------------------------------------
@@ -202,13 +162,13 @@ def test_sessionfinish_hook_writes_trajectory_files(tmp_path, monkeypatch):
     ]
     conftest.pytest_sessionfinish(_FakeSession(benches), exitstatus=0)
 
-    alpha = load_benchmark("bench_alpha", root=str(tmp_path))
+    alpha = _load("bench_alpha", tmp_path)
     assert set(alpha["rows"]) == {"mpps", "drops"}
     assert alpha["rows"]["mpps"] == {"paper": 3.47, "measured": 3.5}
     assert alpha["wall_time_s"] == pytest.approx(3.5)
     assert set(alpha["tests"]) == {"test_one", "test_two"}
 
-    beta = load_benchmark("bench_beta", root=str(tmp_path))
+    beta = _load("bench_beta", tmp_path)
     assert set(beta["tests"]) == {"test_three[64]"}
     assert not (tmp_path / "BENCH_bench_empty.json").exists()
 
@@ -238,5 +198,5 @@ def test_hook_rows_match_reported_table(tmp_path, monkeypatch, capsys):
     printed = capsys.readouterr().out
     assert "rate (Mpps)" in printed and "3.5" in printed
     conftest.pytest_sessionfinish(_FakeSession([bench]), exitstatus=0)
-    doc = load_benchmark("bench_gamma", root=str(tmp_path))
+    doc = _load("bench_gamma", tmp_path)
     assert doc["rows"] == {"rate (Mpps)": {"paper": 3.47, "measured": 3.5}}

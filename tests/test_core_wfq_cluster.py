@@ -6,8 +6,7 @@ import pytest
 
 from repro.core.cluster import RouterCluster, cluster_vrp_budget, member_mac
 from repro.core.router import Router, RouterConfig
-from repro.core.vrp import PROTOTYPE_BUDGET
-from repro.core.wfq import InputSideWFQ, wfq_vrp_program
+from repro.core.wfq import InputSideWFQ
 from repro.hosts.scheduling import StrideScheduler
 from repro.net.traffic import flow_stream, take
 
@@ -77,12 +76,6 @@ def test_wfq_unclassified_gets_lowest_priority():
     other = take(flow_stream(1, src_port=9999), 1)[0]
     assert wfq.priority_for(other) == wfq.num_priorities - 1
     assert wfq.unclassified == 1
-
-
-def test_wfq_program_fits_vrp_budget():
-    program = wfq_vrp_program()
-    ok, reason = PROTOTYPE_BUDGET.check(program.cost(), program.registers_needed)
-    assert ok, reason
 
 
 @pytest.mark.slow

@@ -517,15 +517,3 @@ def test_run_until_behind_now_is_rejected(scheduler):
     assert sim.now == 100
     sim.run()
     assert woke == [1100]
-
-
-def test_spawn_all_names_processes():
-    sim = Simulator()
-
-    def noop():
-        yield Delay(0)
-
-    procs = sim.spawn_all([noop() for __ in range(3)], prefix="ctx")
-    assert [p.name for p in procs] == ["ctx0", "ctx1", "ctx2"]
-    sim.run()
-    assert all(not p.alive for p in procs)

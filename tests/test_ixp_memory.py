@@ -73,8 +73,6 @@ def test_access_counting_by_tag():
     assert mem.counts_for("input") == (2, 0)
     assert mem.counts_for("output") == (0, 1)
     assert mem.counts_for("") == (2, 1)
-    mem.reset_counts()
-    assert mem.counts_for("") == (0, 0)
 
 
 def test_utilization_accounting():

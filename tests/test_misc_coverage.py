@@ -81,27 +81,6 @@ def test_pentium_drop_action_consumes_packet():
     assert tx.occupancy == 0
 
 
-def test_trace_replay_time_scale():
-    from repro import Router
-    from repro.net.trace import TraceRecord, replay
-    from repro.net.traffic import take, uniform_flood
-
-    router = Router()
-    router.add_route("10.0.0.0", 16, 0)
-    packets = take(uniform_flood(2, num_ports=1), 2)
-    router.warm_route_cache([p.ip.dst for p in packets])
-    records = [
-        TraceRecord(timestamp=100_000 * i, port=3, frame=p.to_bytes())
-        for i, p in enumerate(packets)
-    ]
-    replay(router, records, time_scale=0.1)  # 10x faster
-    router.run(400_000)
-    out = router.transmitted()
-    assert len(out) == 2
-    arrivals = sorted(p.meta["t_arrived"] for p in out)
-    assert arrivals[1] - arrivals[0] < 20_000  # compressed from 100k
-
-
 def test_signal_fire_returns_woken_count():
     sim = Simulator()
     signal = sim.signal()

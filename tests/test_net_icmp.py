@@ -6,9 +6,7 @@ from repro import Router, RouterConfig
 from repro.net import IPv4Address
 from repro.net.icmp import (
     ICMPMessage,
-    TYPE_DEST_UNREACHABLE,
     TYPE_TIME_EXCEEDED,
-    destination_unreachable,
     parse_reply,
     time_exceeded,
 )
@@ -52,12 +50,6 @@ def test_time_exceeded_quotes_original():
     assert message.quoted[12:16] == original.ip.src.packed()
     # The first 8 L4 bytes (TCP ports + seq) are quoted too.
     assert message.quoted[20:22] == (5001).to_bytes(2, "big")
-
-
-def test_destination_unreachable_type():
-    original = make_tcp_packet("1.1.1.1", "2.2.2.2")
-    reply = destination_unreachable(original, IPv4Address("9.9.9.9"))
-    assert parse_reply(reply).icmp_type == TYPE_DEST_UNREACHABLE
 
 
 def test_parse_reply_non_icmp_is_none():

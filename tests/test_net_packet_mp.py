@@ -13,7 +13,6 @@ from repro.net import (
     segment_packet,
 )
 from repro.net.mp import MP_SIZE, MacPacket, mp_count
-from repro.net.packet import make_syn_packet
 
 
 def test_min_packet_is_64_bytes_on_wire():
@@ -52,11 +51,6 @@ def test_non_tcp_flow_key_has_zero_ports():
     packet = make_udp_like_packet("1.1.1.1", "2.2.2.2")
     key = packet.flow_key()
     assert key.src_port == 0 and key.dst_port == 0
-
-
-def test_syn_packet_has_syn_flag():
-    packet = make_syn_packet("1.1.1.1", "2.2.2.2", 4242)
-    assert packet.tcp.flags & 0x02
 
 
 def test_packet_ids_are_unique():

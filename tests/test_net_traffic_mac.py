@@ -1,14 +1,10 @@
 """Tests for traffic generators and the MAC port model."""
 
-import pytest
-
 from repro.engine import Simulator
 from repro.net import IPv4Address, MACPort, PortSpeed
 from repro.net.mac import EVALUATION_BOARD_PORTS, make_board_ports
 from repro.net.traffic import (
     address_for_port,
-    exceptional_mix,
-    flow_mix,
     flow_stream,
     round_robin_merge,
     single_port_flood,
@@ -59,21 +55,6 @@ def test_syn_flood_all_syn_random_sources():
     packets = take(syn_flood(50), 50)
     assert all(p.tcp.flags & 0x02 for p in packets)
     assert len({p.ip.src for p in packets}) > 25
-
-
-def test_exceptional_mix_fraction():
-    packets = take(exceptional_mix(400, exceptional_fraction=0.25), 400)
-    exceptional = sum(1 for p in packets if p.has_ip_options)
-    assert 60 <= exceptional <= 140  # ~100 expected
-    with pytest.raises(ValueError):
-        next(exceptional_mix(1, exceptional_fraction=1.5))
-
-
-def test_flow_mix_only_uses_given_flows():
-    flows = [("1.1.1.1", 10, "10.1.0.1", 80), ("2.2.2.2", 20, "10.2.0.1", 443)]
-    packets = take(flow_mix(30, flows), 30)
-    seen = {(str(p.ip.src), p.tcp.src_port) for p in packets}
-    assert seen <= {("1.1.1.1", 10), ("2.2.2.2", 20)}
 
 
 def test_round_robin_merge_interleaves():

@@ -15,7 +15,6 @@ from repro.obs.analysis import (
     build_journeys,
     latency_report,
     percentile,
-    render_latency_table,
     to_chrome_trace,
     validate_chrome_trace,
 )
@@ -166,8 +165,6 @@ def test_latency_report_flags_truncation():
     report = latency_report(rec)
     assert report["truncated"] is True
     assert report["dropped_events"] == 6
-    text = render_latency_table(report)
-    assert "truncated" in text or "WARNING" in text
 
 
 def test_latency_report_on_real_router_scenario():
@@ -189,15 +186,12 @@ def test_latency_report_on_real_router_scenario():
         assert stage in block["stages"], block["stage_order"]
     for stats in block["stages"].values():
         assert stats["p50"] <= stats["p90"] <= stats["p99"] <= stats["max"]
-    text = render_latency_table(report)
-    assert "fastpath" in text and "critical path" in text
 
 
 def test_latency_report_on_empty_recorder():
     report = latency_report(Recorder())
     assert report["packets"] == 0 and report["paths"] == {}
     assert report["queueing"]["overall"] is None
-    assert render_latency_table(report).startswith("packets traced: 0")
 
 
 def _in_order(names, wanted):

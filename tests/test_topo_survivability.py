@@ -118,12 +118,12 @@ def test_restored_link_unused_until_handshake_completes():
     primary_port = topo.link_between("r1", "r2").ports[0]
     alternate_port = topo.link_between("r4", "r1").ports[1]
 
-    topo.fail_link("r1", "r2", at=1_000)
-    topo.run(1_000 + detect_bound(topo) + 15_000)
+    restore_at = 1_000 + detect_bound(topo) + 15_001
+    topo.fail_link("r1", "r2", at=1_000, restore_at=restore_at)
+    topo.run(restore_at - 1)
     route = topo.nodes["r1"].node.routes.get(h3_prefix)
     assert route is not None and route[1] == alternate_port
 
-    topo.restore_link("r1", "r2", at=0)
     topo.run(200)  # physically up, but no handshake yet
     assert topo.link_between("r1", "r2").up
     assert adjacency_state(topo, "r1", "r2") != ADJ_FULL

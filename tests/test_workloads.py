@@ -9,9 +9,7 @@ import pytest
 from repro.cli import main as cli_main
 from repro.net import IPv4Address
 from repro.workloads import (bgp_prefixes, build_table, destinations_for,
-                             flash_crowd, heavy_tail_mix, pareto_flow_sizes,
-                             run_workloads, scan_storm, zipf_addresses,
-                             zipf_flood)
+                             run_workloads, zipf_addresses)
 from repro.workloads.generators import (ZipfSampler, flash_crowd_addresses,
                                         scan_addresses)
 
@@ -28,23 +26,15 @@ def _dests(count=256, seed=SEED):
     return destinations_for(bgp_prefixes(count, seed=seed), seed=seed)
 
 
-def _packet_sig(packets):
-    return [(p.ip.src.value, p.ip.dst.value, p.tcp.src_port, len(p.payload))
-            for p in packets]
-
-
 @pytest.mark.parametrize("make", [
     lambda seed: bgp_prefixes(500, seed=seed),
     lambda seed: destinations_for(bgp_prefixes(200, seed=SEED), seed=seed),
     lambda seed: [a.value for a in zipf_addresses(300, _dests(), seed=seed)],
-    lambda seed: pareto_flow_sizes(300, seed=seed),
-    lambda seed: _packet_sig(zipf_flood(120, _dests(), seed=seed)),
-    lambda seed: _packet_sig(heavy_tail_mix(120, _dests(), seed=seed)),
-    lambda seed: _packet_sig(flash_crowd(120, _dests(), seed=seed)),
-    lambda seed: _packet_sig(scan_storm(120, _dests(), seed=seed)),
+    lambda seed: [a.value for a in flash_crowd_addresses(120, _dests(),
+                                                         seed=seed)],
+    lambda seed: [a.value for a in scan_addresses(120, _dests(), seed=seed)],
 ], ids=["bgp_prefixes", "destinations_for", "zipf_addresses",
-        "pareto_flow_sizes", "zipf_flood", "heavy_tail_mix",
-        "flash_crowd", "scan_storm"])
+        "flash_crowd_addresses", "scan_addresses"])
 def test_generators_are_seed_deterministic(make):
     assert make(3) == make(3)
     assert make(3) != make(4)
@@ -104,69 +94,25 @@ def test_zipf_sampler_validates():
         ZipfSampler(10, s=-1.0)
 
 
-def test_pareto_sizes_are_heavy_tailed():
-    sizes = pareto_flow_sizes(2_000, alpha=1.2, seed=SEED)
-    sizes_sorted = sorted(sizes)
-    median = sizes_sorted[len(sizes) // 2]
-    assert max(sizes) > 20 * median  # elephants exist
-    assert min(sizes) >= 1
-    assert max(pareto_flow_sizes(2_000, alpha=1.2, seed=SEED, cap=50)) <= 50
-
-
-def test_heavy_tail_mix_respects_count_and_flows():
-    # The stream ends at `count` packets or when every flow drains,
-    # whichever comes first; flow volumes are the seeded Pareto draws.
-    volume = sum(pareto_flow_sizes(32, seed=SEED))
-    packets = list(heavy_tail_mix(600, _dests(), num_flows=32, seed=SEED))
-    assert len(packets) == min(600, volume)
-    flows = {(p.ip.src.value, p.tcp.src_port) for p in packets}
-    assert 1 < len(flows) <= 32
-
-
 def test_flash_crowd_ramps_toward_hot_destination():
     dests = _dests(512)
-    packets = list(flash_crowd(4_000, dests, peak=0.8, seed=SEED))
-    hot = max({p.ip.dst.value for p in packets},
-              key=lambda v: sum(p.ip.dst.value == v for p in packets[-500:]))
-    first = sum(p.ip.dst.value == hot for p in packets[:1000]) / 1000
-    last = sum(p.ip.dst.value == hot for p in packets[-1000:]) / 1000
+    probes = [a.value for a in flash_crowd_addresses(4_000, dests, peak=0.8,
+                                                     seed=SEED)]
+    hot = max(set(probes), key=probes[-500:].count)
+    first = probes[:1000].count(hot) / 1000
+    last = probes[-1000:].count(hot) / 1000
     assert last > 0.5 > first + 0.2  # ramp, not a constant share
 
 
-def test_scan_storm_has_zero_locality():
-    dests = _dests(300)
-    packets = list(scan_storm(300, dests, seed=SEED))
-    assert len({p.ip.dst.value for p in packets}) == 300  # no repeats
-    assert list(a.value for a in scan_addresses(300, dests, seed=SEED)) == \
-        [p.ip.dst.value for p in packets]
-
-
-@pytest.mark.parametrize("seed", [0, 3, SEED, 29])
-def test_flash_crowd_addresses_are_flash_crowd_destinations(seed):
-    """The bare-probe variant makes the same draws as the packet stream,
-    so it yields the same destinations in the same order."""
-    dests = _dests(300, seed=seed)
-    cases = [
-        {"count": 1},
-        {"count": 600},
-        {"count": 600, "hot": dests[17]},
-        {"count": 600, "hot": 0x0B000001},  # hot outside the population
-        {"count": 400, "peak": 0.0},
-        {"count": 400, "peak": 1.0},
-        {"count": 300, "s": 0.7},
-    ]
-    for case in cases:
-        kwargs = dict(case)
-        count = kwargs.pop("count")
-        bare = list(flash_crowd_addresses(count, dests, seed=seed, **kwargs))
-        packets = list(flash_crowd(count, dests, seed=seed, **kwargs))
-        assert len(bare) == count
-        assert bare == [p.ip.dst for p in packets], case
+def test_flash_crowd_peak_must_be_a_share():
     for bad_peak in (-0.1, 1.5):
         with pytest.raises(ValueError):
-            list(flash_crowd_addresses(10, dests, peak=bad_peak))
-        with pytest.raises(ValueError):
-            list(flash_crowd(10, dests, peak=bad_peak))
+            list(flash_crowd_addresses(10, _dests(), peak=bad_peak))
+
+
+def test_scan_storm_has_zero_locality():
+    probes = [a.value for a in scan_addresses(300, _dests(300), seed=SEED)]
+    assert len(set(probes)) == 300  # no repeats
 
 
 # ---------------------------------------------------------------------------
