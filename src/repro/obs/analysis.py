@@ -272,7 +272,9 @@ _COMPONENT_PID = 1
 _PACKET_PID = 2
 
 
-def _us(cycle: int) -> float:
+def cycles_to_us(cycle: int) -> float:
+    """A cycle count in microseconds at the chip clock, rounded to the
+    nanosecond: the ``ts``/``dur`` unit of every Chrome-trace export."""
     return round(cycle * 1e6 / CLOCK_HZ, 3)
 
 
@@ -310,7 +312,7 @@ def chrome_process_events(
             args["detail"] = str(e.detail)
         instants.append({
             "ph": "i", "pid": pid, "tid": tid, "s": "t",
-            "ts": _us(e.cycle), "name": e.event, "args": args,
+            "ts": cycles_to_us(e.cycle), "name": e.event, "args": args,
         })
     # Some spans are recorded at a stamp taken earlier in the pipeline
     # (e.g. enqueue at the descriptor's enqueue_cycle), so recorder
@@ -348,8 +350,8 @@ def to_chrome_trace(events: Iterable[TraceEvent]) -> Dict[str, Any]:
         for prev, cur in zip(journey.events, journey.events[1:]):
             trace.append({
                 "ph": "X", "pid": _PACKET_PID, "tid": pid,
-                "ts": _us(prev.cycle),
-                "dur": _us(cur.cycle - prev.cycle),
+                "ts": cycles_to_us(prev.cycle),
+                "dur": cycles_to_us(cur.cycle - prev.cycle),
                 "name": f"{prev.event}->{cur.event}",
                 "args": {"cycles": cur.cycle - prev.cycle},
             })

@@ -355,10 +355,7 @@ def merged_chrome_trace(topo) -> Dict[str, Any]:
     seed.  ``otherData.truncated`` reports whether any node's trace ring
     wrapped -- a truncated node truncates the *network* trace.
     """
-    from repro.obs.analysis import CLOCK_HZ, chrome_process_events
-
-    def us(cycle: int) -> float:
-        return round(cycle * 1e6 / CLOCK_HZ, 3)
+    from repro.obs.analysis import CLOCK_HZ, chrome_process_events, cycles_to_us
 
     tracer = topo.tracer
     trace: List[Dict[str, Any]] = [
@@ -382,7 +379,7 @@ def merged_chrome_trace(topo) -> Dict[str, Any]:
         for seg in d["segments"]:
             trace.append({
                 "ph": "X", "pid": NETWORK_PID, "tid": tid,
-                "ts": us(cursor), "dur": us(seg["cycles"]),
+                "ts": cycles_to_us(cursor), "dur": cycles_to_us(seg["cycles"]),
                 "name": seg["where"], "args": {"cycles": seg["cycles"]},
             })
             cursor += seg["cycles"]
@@ -401,12 +398,12 @@ def merged_chrome_trace(topo) -> Dict[str, Any]:
                     # whose process hosts the s event.
                     flows.append({
                         "ph": "s", "pid": src_pid, "tid": FLOW_TID,
-                        "ts": us(enter_cycle), "id": tid, "cat": "link",
+                        "ts": cycles_to_us(enter_cycle), "id": tid, "cat": "link",
                         "name": where,
                     })
                     flows.append({
                         "ph": "f", "pid": dst_pid, "tid": FLOW_TID,
-                        "ts": us(cycle), "id": tid, "cat": "link",
+                        "ts": cycles_to_us(cycle), "id": tid, "cat": "link",
                         "name": where, "bp": "e",
                     })
 
