@@ -7,8 +7,7 @@ incident logs.  This package enforces them *statically*, as an
 AST-based lint pass with three rule families:
 
 * **RPR1xx determinism** -- no module-level ``random.*``, no wall-clock
-  or entropy reads outside the CLI/bench layer, no ``id()`` ordering,
-  no non-canonical JSON;
+  or entropy reads, no ``id()`` ordering, no non-canonical JSON;
 * **RPR2xx null-object parity** -- every hook method has a
   signature-compatible no-op on ``NullRecorder``/``NullInjector``, and
   hot-path hook calls sit behind ``.enabled`` guards with no eager

@@ -33,8 +33,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 RULES: Dict[str, str] = {
     "RPR001": "source file failed to parse (syntax error)",
     "RPR101": "module-level random.* call; use a seeded random.Random instance",
-    "RPR102": "wall-clock/entropy call (time, datetime.now, uuid, os.urandom) "
-              "outside the CLI/bench layer",
+    "RPR102": "wall-clock/entropy call (time, datetime.now, uuid, os.urandom)",
     "RPR103": "id() used as a sort key, dict key, or subscript index "
               "(iteration order would depend on allocation addresses)",
     "RPR104": "json.dump(s) or export.dumps without sort_keys=True (reports "
@@ -97,13 +96,6 @@ class LintConfig:
     injector_hooks = frozenset({"on_rx", "on_i2o_send", "on_control"})
     sampler_hooks = frozenset({"sample"})
 
-    #: Path suffixes exempt from the wall-clock rule (RPR102): the CLI
-    #: and bench layer measure real elapsed time on purpose.
-    wallclock_exempt = (
-        "repro/cli.py",
-        "repro/__main__.py",
-        "repro/obs/bench_record.py",
-    )
     #: Path suffixes exempt from the hardcoded-stage-list rule (RPR303):
     #: the registry itself.
     registry_exempt = ("repro/obs/events.py",)

@@ -18,7 +18,6 @@ from repro.lint.base import (
     Violation,
     dotted_name,
     file_rule,
-    path_matches,
 )
 
 #: Calls through the module-level ``random`` API share hidden global
@@ -74,7 +73,6 @@ def _contains_id_call(node: ast.AST) -> bool:
 def check_determinism(tree: ast.AST, source: str, path: str,
                       ctx: LintContext) -> Iterable[Violation]:
     out: List[Violation] = []
-    wallclock_exempt = path_matches(path, ctx.config.wallclock_exempt)
 
     for node in ast.walk(tree):
         # -- RPR101 / RPR102: forbidden imports --------------------------------
@@ -88,7 +86,7 @@ def check_determinism(tree: ast.AST, source: str, path: str,
                             "module-level RNG; import random.Random and seed it",
                         ))
             banned = _WALLCLOCK_IMPORTS.get(node.module or "")
-            if (node.module in _WALLCLOCK_IMPORTS and not wallclock_exempt):
+            if node.module in _WALLCLOCK_IMPORTS:
                 for alias in node.names:
                     if banned is None or alias.name in banned:
                         out.append(Violation(
@@ -116,12 +114,11 @@ def check_determinism(tree: ast.AST, source: str, path: str,
             ))
 
         # -- RPR102: wall-clock / entropy calls --------------------------------
-        if (not wallclock_exempt and name in _WALLCLOCK_CALLS):
+        if name in _WALLCLOCK_CALLS:
             out.append(Violation(
                 path, node.lineno, node.col_offset, "RPR102",
                 f"{name}() reads the wall clock / OS entropy; simulation "
-                "state must derive from sim.now and seeded RNGs "
-                "(CLI/bench layer is exempt)",
+                "state must derive from sim.now and seeded RNGs",
             ))
 
         # -- RPR103: id() in ordering/key positions ----------------------------

@@ -107,13 +107,14 @@ def test_rpr102_entropy_import():
     assert (v.code, v.line) == ("RPR102", 1)
 
 
-def test_rpr102_cli_layer_is_exempt():
-    clean("""\
+def test_rpr102_covers_the_cli_layer():
+    v = one("""\
         import time
 
         def elapsed():
             return time.perf_counter()
         """, path="src/repro/cli.py")
+    assert (v.code, v.line) == ("RPR102", 4)
 
 
 def test_rpr103_id_as_sort_key():
