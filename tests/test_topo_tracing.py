@@ -23,7 +23,7 @@ import pytest
 
 from repro.obs.analysis import validate_chrome_trace
 from repro.obs.recorder import Recorder
-from repro.topo.netview import NetviewResult, bench_rows, run_netview
+from repro.topo.netview import bench_rows, run_netview
 from repro.topo.tracing import (
     NULL_TRACER,
     ROUTER_PID_BASE,
