@@ -71,7 +71,7 @@ class MACPort:
         self._tx_wire_free_at = 0
         self._source_proc = None
         # Called with (packet, frame_bytes) for every transmitted frame
-        # (trace capture, monitoring).
+        # (the topology's links put frames on the wire this way).
         self.tx_listeners = []
 
     # -- receive side -------------------------------------------------------

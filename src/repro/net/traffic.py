@@ -3,8 +3,9 @@
 The paper's experiments use: minimum-sized-packet floods at line speed,
 "infinitely fast" sources (the FIFO-recycling trick of section 3.5.1),
 all-traffic-to-one-queue contention workloads, SYN floods, and per-flow
-TCP streams for the forwarder examples.  Each generator here is a plain iterable of
-:class:`~repro.net.packet.Packet`, deterministic under a seed.
+TCP streams for the forwarder examples.  Each generator here is a plain
+iterable of :class:`~repro.net.packet.Packet`, deterministic under a
+seed.
 """
 
 from __future__ import annotations
