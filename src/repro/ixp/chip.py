@@ -304,6 +304,10 @@ class IXP1200:
         self.input_parking: Optional[InputParking] = None
         self.output_parking: Optional[OutputParking] = None
         self.host_idle: Optional[Callable[[], bool]] = None
+        #: Frames that reached a parked input stage unannounced (see
+        #: :meth:`rx_delivered`).  Kept out of ``counters``: it describes
+        #: the simulation, not the modeled chip.
+        self.unannounced_wakes = 0
 
         self._build_pipeline()
 
@@ -444,6 +448,7 @@ class IXP1200:
         the input stage awake; an unannounced one wakes it now."""
         inp = self.input_parking
         if inp.parked:
+            self.unannounced_wakes += 1
             inp.wake_now()
             if self.output_parking is not None:
                 self.output_parking.request(self.sim.now)

@@ -7,17 +7,23 @@ per-ME busy cycles, token-ring rotations, memory access counts and busy
 cycles, and the recorder's trace hash.  An idle 6-port router parks
 both stages, then one frame reaches it at phase offsets across one input
 rotation plus one output idle period, through each wake path (every
-offset in the slow sweep, a stride of them otherwise).
+offset in the slow sweep, a stride of them otherwise).  Whole runners
+-- every topology scenario, a chaos campaign and a netview report -- are
+compared the same way on their serialized outputs.
 """
 
 import pytest
 
+from repro.chaos.campaign import run_campaign
 from repro.core.cluster import RouterCluster
 from repro.core.router import Router, RouterConfig
 from repro.ixp import parking
+from repro.ixp.chip import IXP1200
 from repro.net.packet import make_tcp_packet
 from repro.obs import export
+from repro.topo.netview import run_netview
 from repro.topo.network import Topology
+from repro.topo.scenarios import run_topo
 
 SCHEDULERS = ("calendar", "heap")
 CHECK_EVERY = 250
@@ -182,3 +188,71 @@ def test_portless_output_contexts_stay_parked():
             assert out.parked_at[slot] is not None
             assert out.resume_at[slot] is None
     assert router.chip.input_parking.parked
+
+
+# -- whole runners -------------------------------------------------------------
+
+
+def _parked_and_reference(monkeypatch, run):
+    """``run()`` event by event, then parked.  Every chip either run
+    builds must have seen each frame announced: no parked input stage
+    was woken by an unannounced delivery."""
+    built = []
+    init = IXP1200.__init__
+
+    def tracking_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(IXP1200, "__init__", tracking_init)
+    outputs = []
+    for flag in (False, True):
+        monkeypatch.setattr(parking, "_PARKING", flag)
+        built.clear()
+        outputs.append(run())
+        assert built
+        assert [chip.unannounced_wakes for chip in built] == [0] * len(built)
+    return outputs
+
+
+def test_topo_all_matches_event_by_event(monkeypatch):
+    def run():
+        results = run_topo("all", seed=7)
+        return ([r.incident_log_json() for r in results],
+                [r.trace_hash for r in results])
+
+    reference, parked = _parked_and_reference(monkeypatch, run)
+    assert parked == reference
+
+
+def test_chaos_campaign_matches_event_by_event(monkeypatch):
+    reference, parked = _parked_and_reference(
+        monkeypatch, lambda: run_campaign(7, 3).to_json())
+    assert parked == reference
+
+
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+def test_netview_matches_event_by_event(monkeypatch, scheduler):
+    # The report carries the sampled utilization series, which read the
+    # lazily charged busy cycles.
+    monkeypatch.setenv("REPRO_SIM_SCHEDULER", scheduler)
+    reference, parked = _parked_and_reference(
+        monkeypatch,
+        lambda: [v.to_json() for v in run_netview("link-failure", seed=7, window=120_000)])
+    assert parked == reference
+
+
+def test_unannounced_delivery_is_counted():
+    router, __ = _router()
+    router.run(IDLE)
+    chip = router.chip
+    assert chip.input_parking.parked
+
+    def deliver():
+        packet = _packet()
+        router.ports[0].deliver(packet, packet.to_bytes())
+
+    router.sim.schedule(100, deliver)
+    router.run(AFTER)
+    assert chip.unannounced_wakes == 1
+    assert "unannounced_wakes" not in chip.counters
