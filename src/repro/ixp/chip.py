@@ -467,10 +467,10 @@ class IXP1200:
         StrongARM queues empty, nothing held by the hosts."""
         if not self.input_parking.parked:
             return False
-        if self.sa_local_queue or self.sa_pentium_queue:
+        if self.sa_local_queue._entries or self.sa_pentium_queue._entries:
             return False
         for queue in self.bank.queues:
-            if queue:
+            if queue._entries:
                 return False
         return self.host_idle is None or self.host_idle()
 

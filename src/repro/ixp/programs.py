@@ -22,7 +22,7 @@ from repro.ixp.queues import InputDiscipline, OutputDiscipline, PacketDescriptor
 
 #: An output context that finds nothing to send backs off
 #: ``min(OUTPUT_BACKOFF, OUTPUT_BACKOFF_STEP * idle_streak)`` cycles
-#: (repro.ixp.parking models the saturated loop from these).
+#: (repro.ixp.parking models the idle loop from these).
 OUTPUT_BACKOFF_STEP = 20
 OUTPUT_BACKOFF = 200
 #: Row O.1 (single queue with batching) dequeues up to this many packets
@@ -549,8 +549,12 @@ def output_loop(ctx: MicroContext, chip, ports) -> Generator:
     ix_acquire = ix_bus.acquire()
     parking = chip.output_parking
     slot = chip.output_contexts.index(ctx)
-    backoff_step = OUTPUT_BACKOFF_STEP
-    backoff_max = OUTPUT_BACKOFF
+    # The backoff after the idle_streak-th empty select in a row, up to
+    # the streak from which it stays at its cap.
+    d_backoffs = tuple(delay(min(OUTPUT_BACKOFF, OUTPUT_BACKOFF_STEP * streak))
+                       for streak in range(-(-OUTPUT_BACKOFF // OUTPUT_BACKOFF_STEP) + 1))
+    n_backoffs = len(d_backoffs)
+    d_backoff_max = d_backoffs[-1]
     yield from ctx.start()
     current: Optional[list] = None  # [descriptor, mps_remaining]
     batch_remaining = 0
@@ -624,11 +628,11 @@ def output_loop(ctx: MicroContext, chip, ports) -> Generator:
                     # backoff only engages when there is spare capacity
                     # anyway).
                     idle_streak += 1
-                    wait = delay(min(backoff_max, backoff_step * idle_streak))
+                    wait = d_backoffs[idle_streak] if idle_streak < n_backoffs else d_backoff_max
                     if parking is not None:
-                        # An empty router's saturated backoff loop parks
-                        # here instead; it is resumed directly at a
-                        # backoff end (OutputParking.resume).
+                        # A locked idle loop parks here instead; it is
+                        # resumed directly at a backoff end with the idle
+                        # streak reached there (OutputParking.resume).
                         # OutputParking.charges must list this loop's
                         # steps in order: backoff, swap-in, swap, token,
                         # pass (+ rotation), select.
@@ -638,7 +642,9 @@ def output_loop(ctx: MicroContext, chip, ports) -> Generator:
                     # blocked(backoff), inlined.
                     ctx.holding_core = False
                     core.release()
-                    yield wait
+                    streak = yield wait
+                    if streak is not None:
+                        idle_streak = streak
                     yield core_acquire
                     ctx.holding_core = True
                     if c_swap:
