@@ -22,11 +22,11 @@ run at every point anyone can observe it:
 * **Announced wakes.**  Every source of an event that could touch a
   parked stage -- a frame reaching one of its ports, an ME core being
   seized -- announces it in advance with :meth:`IXP1200.announce`.  The
-  stage then resumes on a hop (input) or period (output) boundary that
-  the event-by-event run also passes through, strictly before the
-  announced cycle, without changing when or how the announcer schedules
-  its own delivery.  A spurious announcement only costs a resume; a
-  missing one is a bug.
+  stage then resumes at steps the event-by-event run also takes (a hop
+  boundary of the input stage, each output context's swap-in) before
+  the announced cycle, without changing when or how the announcer
+  schedules its own delivery.  A spurious announcement only costs a
+  resume; a missing one is a bug.
 * **Unannounced deliveries** (a direct ``MACPort.deliver`` between two
   runs) resume the input stage at once: the token holder continues at
   its pending port check.
@@ -37,8 +37,11 @@ event).  The output stage parks only under ``SINGLE_BATCHED``, whose
 idle loop makes no memory reference after its first empty select, and
 only while the whole router is empty: no packet in the queue bank, the
 StrongARM queues, the I2O pairs or the hosts, and the input stage
-parked.  ``MULTI_INDIRECT`` and ``SINGLE_UNBATCHED`` read Scratch on
-every idle iteration and stay event by event.
+parked.  It parks as soon as its token ring has locked, with backoffs
+still ramping; a context's early swap-in that would meet an engine
+neighbour's at the core is predicted, and the stage is awake for it.
+``MULTI_INDIRECT`` and ``SINGLE_UNBATCHED`` read Scratch on every idle
+iteration and stay event by event.
 """
 
 from __future__ import annotations
@@ -310,6 +313,7 @@ class OutputParking:
         for i, ctx in enumerate(self.contexts):
             by_engine.setdefault(ctx.me.me_id, []).append(i)
         self.engines = list(by_engine.values())
+        self.ring_index = [ring.order.index(ctx.ctx_id) for ctx in self.contexts]
         n = len(self.contexts)
         self.last_e = [-1] * n
         self.last_streak = [0] * n
@@ -426,6 +430,43 @@ class OutputParking:
                         waited.add(delayer)
         return None if first == NEVER else first
 
+    def _on_schedule(self, now: int, schedule, slot: int) -> bool:
+        """Whether the stage is where the locked ``schedule`` puts it at
+        ``now``: every output core held by exactly the contexts that
+        hold it there and waited on by none, and the token where the
+        last pass left it.  A core seized by something else, or a
+        context running late behind one, shows up here before it shows
+        up in a select; cycles on which a step may or may not have run
+        yet do not pass."""
+        period = self.period
+        take = self.take
+        held = {}
+        latest = None
+        for i, (e, s) in enumerate(schedule):
+            ctx = self.contexts[i]
+            if i != slot:
+                x = now - e
+                request = self._swap_in(e, s, 0)
+                delayed = self.delays.get((i, request))
+                grant = request if delayed is None else delayed[0]
+                if x == take or request <= now <= grant + 1:
+                    return False
+                if ctx.holding_core != (take < x):
+                    return False
+            if ctx.holding_core:
+                held[ctx.me] = held.get(ctx.me, 0) + 1
+            turn = e + self.rotation + (now - e - self.rotation) // period * period
+            if turn == now:
+                return False
+            if latest is None or turn > latest[0]:
+                latest = (turn, i)
+        for i in range(len(schedule)):
+            core = self.contexts[i].me.core
+            if core._queue or core.in_use != held.get(self.contexts[i].me, 0):
+                return False
+        ring = self.ring
+        return ring._position == (self.ring_index[latest[1]] + 1) % len(ring.order)
+
     def _resume_time(self, at: int, schedule) -> int:
         """The latest cycle at which to resume for something due at
         ``at``: the first swap-in, over contexts on ``schedule``, of a
@@ -513,6 +554,8 @@ class OutputParking:
         while pending and pending[0] < now:
             heappop(pending)
         collision = self._scan(now, schedule, slot)
+        if not self._on_schedule(now, schedule, slot):
+            return False
         if pending and self._resume_time(pending[0], schedule) < last_park:
             refused = pending[0]
         elif collision is not None and self._resume_time(collision - period, schedule) < last_park:

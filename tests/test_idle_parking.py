@@ -167,6 +167,120 @@ def test_engine_stalls_mid_park_match(monkeypatch, scheduler):
         _assert_invisible(monkeypatch, scheduler, _single, offset, "stall")
 
 
+# -- parked while a backoff still ramps -------------------------------------
+
+PERIOD = 207      # the output stage's idle period
+RAMP = 10 * PERIOD  # an output context's backoff ramp
+OUT = 6_100       # a frame injected at IDLE has gone out by now
+
+
+def _ramp(offset, path):
+    """A frame goes out on port 2; one for port 3, whose output context
+    shares an engine with port 2's, arrives ``offset`` cycles later,
+    while the context that sent the first still ramps its backoff."""
+    router, recorder = _router()
+    router.add_route("10.3.0.0", 16, 3)
+    at = OUT + offset
+    if path == "inject":
+        second = [(at, lambda: router.inject(3, [_packet("10.3.7.7")]))]
+    else:
+        def deliver():
+            packet = _packet("10.3.7.7")
+            router.ports[3].deliver(packet, packet.to_bytes())
+        second = [(at, deliver)]
+    sim = router.sim
+    return _drive(sim, OUT + RAMP + AFTER, lambda: _state(sim, [router.chip], [recorder]),
+                  [(IDLE, lambda: router.inject(0, [_packet()]))] + second)
+
+
+def _wire(offset):
+    """Two frames reach port 2 at once, so the second waits for the
+    wire; a third is injected ``offset`` cycles after them."""
+    router, recorder = _router()
+    sim = router.sim
+
+    def first_two():
+        router.inject(0, [_packet()])
+        router.inject(1, [_packet("10.1.9.9")])
+    return _drive(sim, IDLE + 2 * OUT, lambda: _state(sim, [router.chip], [recorder]),
+                  [(IDLE, first_two),
+                   (IDLE + offset, lambda: router.inject(3, [_packet("10.1.7.7")]))])
+
+
+def _stall_ramp(offset):
+    """A frame goes out, and an output engine stalls ``offset`` cycles
+    later, while the sending context still ramps its backoff."""
+    router, recorder = _router()
+    injector = router.enable_faults(seed=3)
+    injector.schedule_engine_stall(router.chip.engines[4], at=OUT + offset, hold_cycles=300)
+    sim = router.sim
+    return _drive(sim, OUT + RAMP + AFTER, lambda: _state(sim, [router.chip], [recorder]),
+                  [(IDLE, lambda: router.inject(0, [_packet()])),
+                   (OUT + RAMP, lambda: router.inject(3, [_packet()]))])
+
+
+def _collisions(monkeypatch):
+    """Collisions the parking plans predict from here on."""
+    seen = []
+    scan = parking.OutputParking._scan
+
+    def recording(self, *args):
+        collision = scan(self, *args)
+        if collision is not None:
+            seen.append(collision)
+        return collision
+
+    monkeypatch.setattr(parking.OutputParking, "_scan", recording)
+    return seen
+
+
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+def test_second_frame_across_the_ramp_matches(monkeypatch, scheduler):
+    collisions = _collisions(monkeypatch)
+    path = "inject" if scheduler == "calendar" else "deliver"
+    for offset in range(0, RAMP, 89):
+        _assert_invisible(monkeypatch, scheduler, _ramp, offset, path)
+    # The sweep reaches a ramping swap-in that meets a neighbour's.
+    assert collisions
+
+
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+def test_frame_across_a_wire_wait_matches(monkeypatch, scheduler):
+    for offset in range(0, 2 * 1_344, 97):
+        _assert_invisible(monkeypatch, scheduler, _wire, offset)
+
+
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+def test_output_stall_mid_ramp_matches(monkeypatch, scheduler):
+    for offset in range(0, RAMP, 113):
+        _assert_invisible(monkeypatch, scheduler, _stall_ramp, offset)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("path", ["deliver", "inject"])
+def test_second_frame_at_every_ramp_phase_matches(monkeypatch, path):
+    for offset in range(RAMP):
+        _assert_invisible(monkeypatch, "calendar", _ramp, offset, path)
+
+
+@pytest.mark.slow
+def test_every_wire_wait_phase_and_ramp_stall_matches(monkeypatch):
+    for offset in range(2 * 1_344):
+        _assert_invisible(monkeypatch, "calendar", _wire, offset)
+    for offset in range(RAMP):
+        _assert_invisible(monkeypatch, "calendar", _stall_ramp, offset)
+
+
+def test_output_stage_parks_within_the_ramp():
+    router, __ = _router()
+    router.run(IDLE)
+    router.inject(0, [_packet()])
+    while not router.ports[2].tx_packets:
+        router.run(1)
+    router.run(5 * PERIOD)
+    assert router.chip.output_parking.parked
+
+
 def test_parking_saves_events(monkeypatch):
     def events(flag):
         monkeypatch.setattr(parking, "_PARKING", flag)
