@@ -33,12 +33,6 @@ from repro.lint.base import (
     receiver_kind,
 )
 
-#: AST node types whose construction allocates eagerly (the RPR203
-#: payload shapes: dicts, f-strings, comprehensions).
-_EAGER_NODES = (ast.Dict, ast.DictComp, ast.ListComp, ast.SetComp,
-                ast.GeneratorExp, ast.JoinedStr)
-
-
 def _contains_guard(node: ast.AST, aliases: Set[str]) -> bool:
     """Does this expression read an ``.enabled`` flag (directly or via
     a local alias)?"""

@@ -90,9 +90,6 @@ _COMPONENT_RE = re.compile(
     "^(?:" + "|".join(COMPONENT_PATTERNS) + ")$"
 )
 
-#: Cycle-accounting states attributed via ``Recorder.account``.
-ACCOUNT_STATES = ("busy", "idle", "mem_stall")
-
 #: Health-watchdog rule names (:mod:`repro.obs.monitor`).  Incident
 #: logs key on these, so a rename is a breaking schema change.
 MONITOR_RULES = frozenset((

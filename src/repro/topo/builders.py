@@ -170,12 +170,3 @@ ISP_SPEC: Dict[str, Any] = {
 def isp(seed: int = 0) -> Topology:
     """The ISP-like reference graph (6 routers, 3 hosts)."""
     return from_spec(ISP_SPEC, seed=seed)
-
-
-BUILDERS = {
-    "line": line,
-    "ring": ring,
-    "mesh": mesh,
-    "fat-tree": fat_tree,
-    "isp": isp,
-}

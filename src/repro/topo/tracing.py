@@ -45,9 +45,6 @@ from repro.obs.events import DROP_EVENTS
 #: shared collision-free by every node's trace ring.
 TRACE_ID_BASE = 1_000_000_000
 
-#: Hop-record kinds, in the order a healthy journey emits them.
-HOP_KINDS = ("send", "link-enter", "link-arrive", "node", "deliver", "drop")
-
 
 class NullNetTracer:
     """The disabled path: every hook is a no-op, every query empty."""
