@@ -51,7 +51,7 @@ from functools import partial
 from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional
 
-from repro.ixp.programs import OUTPUT_BACKOFF, OUTPUT_BACKOFF_STEP
+from repro.ixp.programs import OUTPUT_BACKOFF, OUTPUT_BACKOFF_STEP, OUTPUT_RAMP
 
 #: Private switch: ``False`` runs every idle loop event by event.  The
 #: differential tests flip it to obtain their reference runs; it is read
@@ -307,8 +307,7 @@ class OutputParking:
         # the core until its select, and passes the token at ``rotation``.
         self.take = b + s
         self.rotation = b + 2 * s + token + pss
-        # Idle streak from which the backoff stays at its cap.
-        self.ramp = -(-b // OUTPUT_BACKOFF_STEP)
+        self.ramp = OUTPUT_RAMP
         by_engine = {}
         for i, ctx in enumerate(self.contexts):
             by_engine.setdefault(ctx.me.me_id, []).append(i)

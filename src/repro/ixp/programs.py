@@ -25,6 +25,8 @@ from repro.ixp.queues import InputDiscipline, OutputDiscipline, PacketDescriptor
 #: (repro.ixp.parking models the idle loop from these).
 OUTPUT_BACKOFF_STEP = 20
 OUTPUT_BACKOFF = 200
+#: The idle streak from which the backoff stays at ``OUTPUT_BACKOFF``.
+OUTPUT_RAMP = -(-OUTPUT_BACKOFF // OUTPUT_BACKOFF_STEP)
 #: Row O.1 (single queue with batching) dequeues up to this many packets
 #: per head-pointer read.
 OUTPUT_BATCH = 8
@@ -549,10 +551,9 @@ def output_loop(ctx: MicroContext, chip, ports) -> Generator:
     ix_acquire = ix_bus.acquire()
     parking = chip.output_parking
     slot = chip.output_contexts.index(ctx)
-    # The backoff after the idle_streak-th empty select in a row, up to
-    # the streak from which it stays at its cap.
+    # The backoff after the idle_streak-th empty select in a row.
     d_backoffs = tuple(delay(min(OUTPUT_BACKOFF, OUTPUT_BACKOFF_STEP * streak))
-                       for streak in range(-(-OUTPUT_BACKOFF // OUTPUT_BACKOFF_STEP) + 1))
+                       for streak in range(OUTPUT_RAMP + 1))
     n_backoffs = len(d_backoffs)
     d_backoff_max = d_backoffs[-1]
     yield from ctx.start()
