@@ -172,6 +172,7 @@ def test_engine_stalls_mid_park_match(monkeypatch, scheduler):
 PERIOD = 207      # the output stage's idle period
 RAMP = 10 * PERIOD  # an output context's backoff ramp
 OUT = 6_100       # a frame injected at IDLE has gone out by now
+FRAME = 1_344     # a minimum frame's time on a 100 Mbps wire
 
 
 def _ramp(offset, path):
@@ -246,7 +247,7 @@ def test_second_frame_across_the_ramp_matches(monkeypatch, scheduler):
 
 @pytest.mark.parametrize("scheduler", SCHEDULERS)
 def test_frame_across_a_wire_wait_matches(monkeypatch, scheduler):
-    for offset in range(0, 2 * 1_344, 97):
+    for offset in range(0, 2 * FRAME, 97):
         _assert_invisible(monkeypatch, scheduler, _wire, offset)
 
 
@@ -265,7 +266,7 @@ def test_second_frame_at_every_ramp_phase_matches(monkeypatch, path):
 
 @pytest.mark.slow
 def test_every_wire_wait_phase_and_ramp_stall_matches(monkeypatch):
-    for offset in range(2 * 1_344):
+    for offset in range(2 * FRAME):
         _assert_invisible(monkeypatch, "calendar", _wire, offset)
     for offset in range(RAMP):
         _assert_invisible(monkeypatch, "calendar", _stall_ramp, offset)
