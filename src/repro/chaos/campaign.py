@@ -21,6 +21,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.chaos.schedule import FaultSpec, generate_schedule, schedule_to_json
 from repro.control.channel import DEFAULT_MAX_ATTEMPTS
 from repro.control.linkstate import ADJ_FULL
+from repro.engine.sim import collector_held
 from repro.obs.metrics import Deltas
 from repro.topo.network import LOGGED_KINDS, Topology
 from repro.topo.scenarios import ring_with_primary
@@ -146,6 +147,7 @@ class TrialResult(Verdict):
         }
 
 
+@collector_held()
 def run_trial(seed: int, trial: int,
               window: int = DEFAULT_CHAOS_WINDOW,
               warmup: int = DEFAULT_CHAOS_WARMUP,
@@ -154,10 +156,13 @@ def run_trial(seed: int, trial: int,
     """Run one fault schedule (generated from ``(seed, trial)`` unless
     given explicitly -- replay and the shrinker pass their own) and
     evaluate the recovery invariants."""
-    # Simulator.run suspends the cyclic collector and a finished trial's
-    # topology is cyclic garbage (about 5 MB), which would otherwise
-    # wait for a rare full collection: free it before building this one.
-    gc.collect()
+    # Free the previous trial's topology (cyclic garbage, about 5 MB)
+    # before building this one.  Every trial runs with the collector held
+    # until its frame is gone, so that topology is still young: a young
+    # pass frees it without walking the objects that were alive before
+    # the campaign.  (An enabled collector's own pass as the previous
+    # hold ended has usually freed it already.)
+    gc.collect(0)
     if schedule is None:
         schedule = generate_schedule(seed, trial, RING_LINKS, RING_ROUTERS,
                                      window)

@@ -130,14 +130,6 @@ class ControlPlaneBinding:
             self._program_routes()
         return changed
 
-    def reconcile(self) -> None:
-        """Re-sync the data plane with the node's current SPF verdict.
-        Needed after *locally-detected* topology changes (link up/down):
-        those recompute ``node.routes`` without any LSA arriving, so no
-        ``deliver_direct``/``_process`` call would otherwise reprogram
-        (or withdraw from) this router's table."""
-        self._program_routes()
-
     def _program_routes(self) -> None:
         """Reconcile the routing table with SPF's verdict: program every
         computed route AND withdraw the ones that vanished -- a

@@ -35,8 +35,9 @@ import gc
 import os
 import sys
 from collections import deque
+from contextlib import contextmanager
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
+from typing import Any, Callable, Deque, Generator, Iterator, List, Optional, Tuple
 
 from repro.obs.recorder import NULL_RECORDER
 
@@ -388,6 +389,30 @@ class Process:
         return f"<Process {self.name} ({state})>"
 
 
+@contextmanager
+def collector_held() -> Iterator[None]:
+    """Hold the cyclic garbage collector off for the block.
+
+    Simulation allocates mostly refcount-collected tuples and generator
+    frames, so collector passes in the middle of the work add pauses
+    without reclaiming anything.  Re-entrant: a no-op when the collector
+    is already off, so nested holds never turn it back on early and a
+    caller that disabled it keeps it disabled.
+
+    As a decorator (``@collector_held()``) the hold ends after the call's
+    frame is gone, so the young pass that follows frees what the call
+    left behind instead of promoting it to an older generation.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
 class Simulator:
     """The event loop.  Time is an integer cycle count starting at zero.
 
@@ -468,19 +493,10 @@ class Simulator:
             raise SimulationError(
                 f"cannot run back to cycle {until} (now {self.now})")
         self._stopped = False
-        # The hot loop allocates short-lived tuples and generator frames
-        # that are all refcount-collected; cyclic collector passes only
-        # add pauses, so GC is suspended for the duration of the run.
-        gc_enabled = gc.isenabled()
-        if gc_enabled:
-            gc.disable()
-        try:
+        with collector_held():
             if self._use_ring:
                 return self._run_ring(until, max_events)
             return self._run_heap(until, max_events)
-        finally:
-            if gc_enabled:
-                gc.enable()
 
     def _run_ring(self, until: Optional[int], max_events: Optional[int]) -> int:
         heap = self._heap

@@ -34,6 +34,7 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.engine.sim import collector_held
 from repro.net.addresses import IPv4Address
 from repro.net.routing import MEMORY_PROBE_CYCLES, RouteCache
 from repro.verdict import Verdict, inv
@@ -187,6 +188,7 @@ def _run_phase(report: BackendReport, cache: RouteCache, name: str,
     return stats
 
 
+@collector_held()
 def run_workloads(
     prefixes: int = 100_000,
     probes: int = 100_000,

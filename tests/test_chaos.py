@@ -1,6 +1,7 @@
 """The chaos campaign: seeded schedule generation, trial invariants,
 campaign byte-identity, schedule shrinking, and the CLI surface."""
 
+import gc
 import json
 import weakref
 
@@ -104,6 +105,34 @@ def test_finished_trial_topology_is_freed_before_the_next_is_built(monkeypatch):
     monkeypatch.setattr(campaign, "ring_with_primary", tracked_build)
     run_campaign(7, 3)
     assert alive_at_build == [0, 0, 0]
+
+
+def test_trials_hold_the_collector_and_collect_young(monkeypatch):
+    # A trial runs with the cyclic collector held, so the previous
+    # trial's topology is still young when the next trial starts and a
+    # young pass frees it; a full pass would also walk everything that
+    # was alive before the campaign.
+    from repro.chaos import campaign
+
+    build, collect = campaign.ring_with_primary, gc.collect
+    enabled_at_build = []
+    generations = []
+
+    def tracked_build(*args, **kwargs):
+        enabled_at_build.append(gc.isenabled())
+        return build(*args, **kwargs)
+
+    def tracked_collect(generation=2):
+        generations.append(generation)
+        return collect(generation)
+
+    monkeypatch.setattr(campaign, "ring_with_primary", tracked_build)
+    monkeypatch.setattr(gc, "collect", tracked_collect)
+    assert gc.isenabled()
+    run_campaign(7, 2)
+    assert enabled_at_build == [False, False]
+    assert generations == [0, 0]
+    assert gc.isenabled()
 
 
 @pytest.mark.slow

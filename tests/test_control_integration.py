@@ -5,6 +5,7 @@ import pytest
 
 from repro import Router
 from repro.control import LinkStateAd, LinkStateNode
+from repro.control.channel import NeighborChannel
 from repro.control.integration import ControlPlaneBinding, make_lsa_packet
 from repro.net import IPv4Address
 from repro.net.traffic import flow_stream, take
@@ -168,12 +169,16 @@ def test_neighbor_loss_withdraws_learned_routes():
     """Losing the adjacency itself (not just the LSA contents) must
     withdraw everything learned through that neighbor."""
     router, node, binding = bound_router()
+    channel = NeighborChannel(1, 2, transmit=lambda data, kind: None,
+                              schedule=lambda delay, fn: None, now=lambda: 0)
+    binding.attach_channel(2, cost=1, via_port=7, channel=channel)
     binding.deliver_direct(neighbor_lsa(1).to_bytes(), from_neighbor=2)
     assert router.routing_table.lookup(IPv4Address("10.77.0.1")) is not None
 
-    node.remove_link(2)
-    node.originate()
-    binding.reconcile()
+    # No hello ever arrives: one dead interval later the tick declares
+    # the neighbor down, withdraws the link and reprograms the table.
+    binding.tick(binding.dead_interval)
+    assert binding.neighbor_deaths == 1
     assert router.routing_table.lookup(IPv4Address("10.77.0.1")) is None
 
 

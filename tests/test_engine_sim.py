@@ -1,8 +1,11 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import gc
+
 import pytest
 
 from repro.engine import Delay, Interrupt, SimulationError, Simulator
+from repro.engine.sim import collector_held
 
 
 def test_clock_starts_at_zero():
@@ -517,3 +520,57 @@ def test_run_until_behind_now_is_rejected(scheduler):
     assert sim.now == 100
     sim.run()
     assert woke == [1100]
+
+
+# ---------------------------------------------------------------------------
+# The collector policy: held for the block, re-entrant, exception-safe.
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def collector_on():
+    """Start with the collector enabled, and leave it as it was found."""
+    was = gc.isenabled()
+    gc.enable()
+    yield
+    if was:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def test_collector_held_turns_an_enabled_collector_off_for_the_block(collector_on):
+    with collector_held():
+        assert not gc.isenabled()
+    assert gc.isenabled()
+
+    with pytest.raises(ValueError):
+        with collector_held():
+            assert not gc.isenabled()
+            raise ValueError("boom")
+    assert gc.isenabled()
+
+
+def test_collector_held_leaves_a_disabled_collector_disabled(collector_on):
+    gc.disable()
+    with collector_held():
+        with collector_held():
+            assert not gc.isenabled()
+        assert not gc.isenabled()
+    assert not gc.isenabled()
+
+
+def test_run_reenables_the_collector_after_a_process_raises(collector_on):
+    sim = Simulator()
+    seen = []
+
+    def proc():
+        seen.append(gc.isenabled())
+        yield Delay(1)
+        raise ValueError("boom")
+
+    sim.spawn(proc())
+    with pytest.raises(ValueError):
+        sim.run()
+    assert seen == [False]
+    assert gc.isenabled()

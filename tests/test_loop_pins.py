@@ -5,10 +5,13 @@ references, token passes and select steps in one generator frame, so
 reordering a single yield or side effect can shift a timing without
 failing any functional check.  Each case below runs one chip or router
 configuration under both schedulers, asserts they agree, and compares a
-sha256 of the modeled state with a committed digest: simulated time and
-event count, chip counters, each memory's busy cycles and access counts,
-engine busy cycles (settled the way readers settle a parked stage),
-token-ring rotations and, for routers, per-port transmit counts.
+sha256 of the modeled state with a committed digest: simulated time,
+chip counters, each memory's busy cycles and access counts, engine busy
+cycles (settled the way readers settle a parked stage), token-ring
+rotations and, for routers, per-port transmit counts.  The number of
+events the engine processed is pinned exactly beside it, in ``EVENTS``:
+it is the simulator's cost, not modeled state, so a change that only
+skips events re-pins that table and leaves the digests alone.
 
 Between them the cases reach every loop path: the six Table 1 rows
 (I.1's private enqueue, I.2/I.3's locked public enqueue, and the
@@ -67,27 +70,41 @@ ROUTERS = {
 
 DIGESTS = {
     "I.1":
-        "9a3b89b0ba21e7f1db2bbb8ab4f9611c6b6b09ceab1b8571adcb684631fe9ccf",
+        "6566fdefa3081b9c3d0f694f4e173951fbc207195e5a0500f7475a6e0ee9707b",
     "I.2":
-        "ac3104c1dae3d3355625d44290ba0bdafd7455023582648c2a03bf06fa07156b",
+        "dc8643bdae44a4d5ebeccf7b1215941962c67d659eceba40de34fc3338270e88",
     "I.3":
-        "0e4a61776f1cef6cbe553eb26fd179c8a62a1f0325c6eb3f8149c51793048fed",
+        "8734d17030641acc5618b60c33db1b1ca5e50b8522a52c193bb40603c2b43eb7",
     "O.1":
-        "7ebb224bbeb164a340965c7107dcb2764755407f13e53a72d8fe513c435c70ca",
+        "ea10bc1e99ccfe150bfaa94702c848d07202e99410e191f2b14d3340efed44bc",
     "O.2":
-        "6093893eee0c1ced8e3f20345de09d5b7a9900e0393a64ddfe89ae988ba9a188",
+        "ff4da467fa1bfe33e7f9d33f44916abc5def634f3808a1a6610fbc01f4fc8ec7",
     "O.3":
-        "22bd3bfabd1fd6a2851bd6a9fb1ff0560bf6de06bba5f5301d5468acad5b5111",
+        "d5fc9aa15189d7226f445814a8745b6021a4da1a94d32bb92646fe767830a62f",
     "private-vrp-exceptional":
-        "b5b9bffa9e0ec8c2f3f43f911b2d2fa7b3bb186f725cb736bf37df8f2a6874c2",
+        "6f2e8eb40e2697fe7bec246270ab49d10dc2610192633c1c5c986f6d3f9cbcc2",
     "overflow-pentium":
-        "cf4e6cd7bb5079a2eab08088bf30cfd3475f5471c0ca543346bfecdd2eb14483",
+        "713ac0dc19e69e36522215fd9daa7da14bf0e441b73ae163c64bab241a350b5d",
     "dram-direct":
-        "b5dc51f9e1d44ca72cbfa137bae60530c34e4eaf0d0b23446c0384cedea6ca62",
+        "34893a0eef2df1c236dd54d26fa990e4fe0557743f887e44ccac1f1737f4ec29",
     "router-protected":
-        "05c43403a5a56d29de79377d982e7268cb01eafde306e6abb7ebe1776df11a7e",
+        "ffd5418b4cb28542c308881a434084af007d1c9c77dd80fa26936280a040fd8e",
     "router-private":
-        "a429f354a79bd1c3dc1de245ec8e60bcaaa4dbeaf4431bf171192c22b89027d2",
+        "d0aca6c83946d20cac00778bf4fd2d92a8bb5b31bebc4ac9622c948aa7383431",
+}
+
+EVENTS = {
+    "I.1": 22_615,
+    "I.2": 30_925,
+    "I.3": 14_294,
+    "O.1": 15_877,
+    "O.2": 15_405,
+    "O.3": 14_459,
+    "private-vrp-exceptional": 42_594,
+    "overflow-pentium": 24_548,
+    "dram-direct": 42_073,
+    "router-protected": 91_166,
+    "router-private": 104_566,
 }
 
 
@@ -95,7 +112,6 @@ def _chip_state(sim, chip):
     chip.settle(sim.now + 1)
     return {
         "now": sim.now,
-        "events": sim._events_processed,
         "counters": sorted(chip.counters.items()),
         "memories": [[m.busy_cycles, sorted([*key, count] for key, count
                                             in m.access_counts.items())]
@@ -110,7 +126,7 @@ def _run_chip(name, scheduler):
     sim = Simulator(scheduler=scheduler)
     chip = IXP1200(ChipConfig(**CHIPS[name]), sim=sim)
     sim.run(until=CHIP_CYCLES)
-    return _chip_state(sim, chip)
+    return _chip_state(sim, chip), sim._events_processed
 
 
 def _run_router(name, scheduler):
@@ -138,7 +154,7 @@ def _run_router(name, scheduler):
     router.run(ROUTER_CYCLES)
     state = _chip_state(router.sim, router.chip)
     state["tx_packets"] = [port.tx_packets for port in router.ports]
-    return state
+    return state, router.sim._events_processed
 
 
 def _digest(state) -> str:
@@ -147,13 +163,15 @@ def _digest(state) -> str:
 
 @pytest.mark.parametrize("name", sorted(CHIPS))
 def test_chip_loop_paths_are_pinned(name):
-    calendar = _run_chip(name, "calendar")
-    assert calendar == _run_chip(name, "heap")
+    calendar, events = _run_chip(name, "calendar")
+    assert (calendar, events) == _run_chip(name, "heap")
     assert _digest(calendar) == DIGESTS[name]
+    assert events == EVENTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(ROUTERS))
 def test_router_loop_paths_are_pinned(name):
-    calendar = _run_router(name, "calendar")
-    assert calendar == _run_router(name, "heap")
+    calendar, events = _run_router(name, "calendar")
+    assert (calendar, events) == _run_router(name, "heap")
     assert _digest(calendar) == DIGESTS[f"router-{name}"]
+    assert events == EVENTS[f"router-{name}"]

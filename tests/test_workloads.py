@@ -2,6 +2,7 @@
 determinism of every generator, distribution shape, the invariant-gated
 scenario and its CLI, and the 1M-prefix acceptance run."""
 
+import gc
 import json
 
 import pytest
@@ -160,6 +161,26 @@ def test_backends_report_the_same_alone_or_together():
         alone = run_workloads(prefixes=3_000, probes=3_000, seed=7,
                               backends=(backend,))
         assert report(alone, backend) == report(both, backend)
+
+
+def test_run_workloads_holds_the_collector(monkeypatch):
+    """The whole scenario runs with the cyclic collector held: its table
+    builds allocate hundreds of thousands of live objects, and passes
+    over them free nothing."""
+    from repro.workloads import scenario
+
+    build = scenario.build_table
+    enabled = []
+
+    def tracked_build(*args, **kwargs):
+        enabled.append(gc.isenabled())
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(scenario, "build_table", tracked_build)
+    assert gc.isenabled()
+    scenario.run_workloads(prefixes=5_000, probes=5_000, seed=7)
+    assert enabled == [False, False]
+    assert gc.isenabled()
 
 
 def test_workloads_cli_smoke(capsys):
