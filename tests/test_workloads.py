@@ -164,9 +164,9 @@ def test_backends_report_the_same_alone_or_together():
 
 
 def test_run_workloads_holds_the_collector(monkeypatch):
-    """The whole scenario runs with the cyclic collector held: its table
-    builds allocate hundreds of thousands of live objects, and passes
-    over them free nothing."""
+    """The whole scenario runs with the cyclic collector held: its
+    tables stay alive until it returns, so passes over them would free
+    nothing."""
     from repro.workloads import scenario
 
     build = scenario.build_table
