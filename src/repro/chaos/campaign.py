@@ -334,25 +334,6 @@ def run_campaign(seed: int, trials: int,
     return campaign
 
 
-def bench_rows(campaign: CampaignResult) -> Dict[str, Dict[str, Any]]:
-    """BENCH_chaos.json rows: recovery rate and fault volume."""
-    passed = sum(1 for r in campaign.results if r.ok)
-    return {
-        "chaos_trials_passed": {"paper": campaign.trials, "measured": passed},
-        "chaos_violating_trials": {
-            "paper": 0, "measured": len(campaign.failed_trials)},
-        "chaos_faults_injected": {
-            "paper": None,
-            "measured": sum(len(r.schedule) for r in campaign.results)},
-        "chaos_detections": {
-            "paper": None,
-            "measured": sum(r.detections for r in campaign.results)},
-        "chaos_reconvergences": {
-            "paper": None,
-            "measured": sum(r.reconvergences for r in campaign.results)},
-    }
-
-
 def replay_schedule(schedule: Sequence[FaultSpec], seed: int = 0,
                     window: int = DEFAULT_CHAOS_WINDOW,
                     warmup: int = DEFAULT_CHAOS_WARMUP,
@@ -367,7 +348,6 @@ def replay_schedule(schedule: Sequence[FaultSpec], seed: int = 0,
 __all__ = [
     "CampaignResult",
     "TrialResult",
-    "bench_rows",
     "replay_schedule",
     "run_campaign",
     "run_trial",

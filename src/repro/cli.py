@@ -156,7 +156,7 @@ def _canonical(doc) -> str:
     return export.dumps(doc, indent=2, sort_keys=True)
 
 
-def _gate(args, runs, document=None, lines=None, files=(), bench=None) -> int:
+def _gate(args, runs, document=None, lines=None, files=()) -> int:
     """The one output path of the invariant-gated runners (README,
     "Runner contract").  ``--json`` prints ``document`` -- by default
     the list of run artifacts -- as exactly one sorted-key JSON document
@@ -164,8 +164,7 @@ def _gate(args, runs, document=None, lines=None, files=(), bench=None) -> int:
     table), a line per written file and one summary line.
     ``--artifact-out`` gets ``document``, ``--incidents-out`` the
     incident log, and ``files`` pairs other file flags with payloads.
-    ``bench`` is ``(rows, config)`` for ``BENCH_<name>.json``, recorded
-    unless ``--no-bench``.  Returns the worst exit code."""
+    Returns the worst exit code."""
     if document is None:
         document = [r.artifact() for r in runs]
     if lines is None:
@@ -185,13 +184,6 @@ def _gate(args, runs, document=None, lines=None, files=(), bench=None) -> int:
             with open(path, "w") as fh:
                 fh.write(payload + "\n")
             say(f"wrote {path}")
-    if bench is not None and not args.no_bench:
-        from repro.obs.bench_record import record_benchmark
-
-        rows, config = bench
-        path = record_benchmark(args.bench_name, rows, seed=args.seed,
-                                config=config)
-        say(f"bench trajectory written to {path}")
     failed = [f"{r.label} ({', '.join(r.violations)})" for r in runs if not r.ok]
     say(f"INVARIANT VIOLATIONS in: {', '.join(failed)}" if failed
         else f"all invariants held across {len(runs)} run(s)")
@@ -225,31 +217,28 @@ def cmd_faults(args) -> int:
 
 
 def cmd_topo(args) -> int:
-    from repro.topo.scenarios import bench_rows, run_topo
+    from repro.topo.scenarios import run_topo
 
-    results = run_topo(args.scenario, seed=args.seed,
-                       window=args.window, warmup=args.warmup)
-    return _gate(args, results, bench=(bench_rows(results), {
-        "scenario": args.scenario, "window": args.window, "warmup": args.warmup}))
+    return _gate(args, run_topo(args.scenario, seed=args.seed,
+                                window=args.window, warmup=args.warmup))
 
 
 def cmd_netview(args) -> int:
     from repro.obs import export
-    from repro.topo.netview import bench_rows, run_netview
+    from repro.topo.netview import run_netview
 
     views = run_netview(args.scenario, seed=args.seed, window=args.window,
                         warmup=args.warmup, top=args.top)
     files = [(args.chrome_out or f"netview-{v.scenario}.chrome.json",
               export.dumps(v.chrome(), sort_keys=True))
              for v in views if args.chrome or args.chrome_out]
-    return _gate(args, views, files=files, bench=(bench_rows(views), {
-        "scenario": args.scenario, "window": args.window, "warmup": args.warmup}))
+    return _gate(args, views, files=files)
 
 
 def cmd_chaos(args) -> int:
     from repro.chaos import (run_campaign, schedule_from_json,
                              schedule_to_json)
-    from repro.chaos.campaign import bench_rows, replay_schedule
+    from repro.chaos.campaign import replay_schedule
     from repro.control.channel import DEFAULT_MAX_ATTEMPTS
 
     if args.max_attempts is None:
@@ -271,10 +260,7 @@ def cmd_chaos(args) -> int:
     first = sorted(campaign.minimal.items())[:1]  # the first minimal schedule, if any
     return _gate(args, campaign.results, document=campaign.artifact(),
                  lines=campaign.table(),
-                 files=[(args.minimal_out, schedule_to_json(s)) for _, s in first],
-                 bench=(bench_rows(campaign), {
-                     "trials": args.trials, "window": args.window,
-                     "warmup": args.warmup, "max_attempts": args.max_attempts}))
+                 files=[(args.minimal_out, schedule_to_json(s)) for _, s in first])
 
 
 def cmd_workloads(args) -> int:
@@ -324,7 +310,7 @@ def cmd_plan(args) -> None:
 
 
 def _runner(sub, name: str, help: str, scenarios=None, *, seed: bool = True,
-            window=None, warmup=None, incidents: bool = False, bench=None):
+            window=None, warmup=None, incidents: bool = False):
     """The subparser of one invariant-gated runner, declaring the flags
     they share (README, "Runner contract").  ``scenarios`` is the
     ``(choices, help)`` of a positional scenario argument."""
@@ -347,10 +333,6 @@ def _runner(sub, name: str, help: str, scenarios=None, *, seed: bool = True,
     if incidents:
         p.add_argument("--incidents-out", default=None,
                        help="write the canonical incident log to this path")
-    if bench is not None:
-        p.add_argument("--no-bench", action="store_true",
-                       help=f"skip writing BENCH_{bench}.json")
-        p.set_defaults(bench_name=bench)
     return p
 
 
@@ -429,13 +411,13 @@ def main(argv=None) -> int:
     _runner(sub, "topo", "run a multi-router network scenario; exits non-zero "
             "when any network invariant breaks",
             (network, "which network scenario to run (or all of them)"),
-            window=240_000, warmup=20_000, incidents=True, bench="topo_scenarios")
+            window=240_000, warmup=20_000, incidents=True)
     netview_parser = _runner(
         sub, "netview", "rerun a topo scenario with network-wide tracing "
         "+ time-series metrics and render the network health report; "
         "exits non-zero when the scenario or observability gate breaks",
         (network, "which network scenario to observe (or all of them)"),
-        window=240_000, warmup=20_000, bench="netview")
+        window=240_000, warmup=20_000)
     netview_parser.add_argument("--top", type=int, default=5,
                                 help="top-N congested links / slowest flows "
                                 "(default 5)")
@@ -448,7 +430,7 @@ def main(argv=None) -> int:
         sub, "chaos", "run seeded randomized fault schedules against the "
         "scenario ring; exits non-zero when any trial violates a recovery "
         "invariant",
-        window=90_000, warmup=10_000, bench="chaos")
+        window=90_000, warmup=10_000)
     chaos_parser.add_argument("--trials", type=_positive, default=10,
                               help="generated fault schedules to run "
                               "(default 10)")

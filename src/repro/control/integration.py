@@ -47,7 +47,7 @@ def make_lsa_packet(lsa_bytes: bytes, src: str, dst: str = ALL_ROUTERS_ADDR) -> 
 class ControlPlaneBinding:
     """Wires a :class:`LinkStateNode` into a Router's control plane."""
 
-    def __init__(self, router, node: LinkStateNode, tickets: int = 300,
+    def __init__(self, router, node: LinkStateNode,
                  hello_interval: int = HELLO_INTERVAL,
                  dead_interval: Optional[int] = None):
         self.router = router

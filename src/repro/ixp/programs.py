@@ -665,7 +665,8 @@ def output_loop(ctx: MicroContext, chip, ports) -> Generator:
                     break
                 rec = chip.recorder
                 if rec.enabled:
-                    rec.sample_queue(sim.now, queue.queue_id, len(queue._entries))
+                    rec.metrics.sample(f"queue{queue.queue_id}.depth", sim.now,
+                                       len(queue._entries))
                     rec.record(sim.now, ctx._comp, "dequeue",
                                rec.packet_id(descriptor.packet),
                                sim.now - descriptor.enqueue_cycle)

@@ -166,7 +166,8 @@ class QueueBank:
             self.ready_bits[queue.queue_id] = True
             rec = self.recorder
             if rec.enabled:
-                rec.sample_queue(descriptor.enqueue_cycle, queue.queue_id, len(queue._entries))
+                rec.metrics.sample(f"queue{queue.queue_id}.depth",
+                                   descriptor.enqueue_cycle, len(queue._entries))
                 rec.record(
                     descriptor.enqueue_cycle,
                     f"queue{queue.queue_id}",

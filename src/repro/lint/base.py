@@ -47,9 +47,8 @@ RULES: Dict[str, str] = {
     "RPR302": "unregistered component literal passed to record(...)",
     "RPR303": "hardcoded stage list duplicating the repro.obs.events registry",
     "RPR304": "monitor rule name not registered in repro.obs.events",
-    "RPR305": "series name passed to sample(...) or sample_series(...) not "
-              "registered in repro.obs.events (METRIC_SERIES / "
-              "METRIC_PATTERNS)",
+    "RPR305": "series name passed to sample(...) not registered in "
+              "repro.obs.events (METRIC_SERIES / METRIC_PATTERNS)",
 }
 
 
@@ -90,9 +89,7 @@ class LintConfig:
     #: Hot-path hook methods that MUST sit behind an ``.enabled`` guard.
     #: Query methods (``utilization``, ``to_dict``, ...) are exempt: the
     #: analysis layer calls them on recorders it knows are live.
-    recorder_hooks = frozenset({
-        "record", "account", "sample_queue", "sample_series", "packet_id",
-    })
+    recorder_hooks = frozenset({"record", "account", "packet_id"})
     injector_hooks = frozenset({"on_rx", "on_i2o_send", "on_control"})
     sampler_hooks = frozenset({"sample"})
 

@@ -101,12 +101,10 @@ def check_trace_names(tree: ast.AST, source: str, path: str,
                             "it or fix the name",
                         ))
 
-        # -- RPR305: sample(...) / sample_series(...) series names -------------
+        # -- RPR305: sample(...) series names ----------------------------------
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
-                and ((node.func.attr in ctx.config.sampler_hooks
-                      and receiver_kind(node.func.value, ctx.config) == "sampler")
-                     or (node.func.attr == "sample_series"
-                         and receiver_kind(node.func.value, ctx.config) == "recorder")):
+                and node.func.attr in ctx.config.sampler_hooks \
+                and receiver_kind(node.func.value, ctx.config) == "sampler":
             name_arg = _record_arg(node, 0, "name")
             if name_arg is not None:
                 for const in _literal_values(name_arg):

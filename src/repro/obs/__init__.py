@@ -2,15 +2,14 @@
 
 Kept import-light on purpose: :mod:`repro.engine.sim` imports the null
 recorder from here, so this package must not (transitively) import the
-engine at module load.  The heavier pieces -- the one sampling path
-and its probes (:mod:`repro.obs.metrics`: the periodic process
-``every``, the ``Deltas`` helper, the recorder's utilization probes and
-the topology metrics), the profile scenarios
-(:mod:`repro.obs.profile`), the trace analytics
-(:mod:`repro.obs.analysis`), the health watchdog
+engine at module load.  The one series store and sampling path
+(:mod:`repro.obs.metrics`: the store, the periodic process ``every``,
+the ``Deltas`` helper, the recorder's utilization probes and the
+topology metrics) imports only the standard library there.  The
+heavier pieces -- the profile scenarios (:mod:`repro.obs.profile`), the
+trace analytics (:mod:`repro.obs.analysis`), the health watchdog
 (:mod:`repro.obs.monitor`) and the bench trajectory recorder
-(:mod:`repro.obs.bench_record`) -- are imported lazily by their callers
-(or via the module-level ``__getattr__`` below).
+(:mod:`repro.obs.bench_record`) -- are imported by their callers.
 
 Entry points:
 
@@ -29,13 +28,8 @@ See ``docs/observability.md`` for the recorder API and trace schema.
 """
 
 from repro.obs.export import dumps, sanitize, trace_hash, trace_to_csv
-from repro.obs.recorder import (
-    NULL_RECORDER,
-    NullRecorder,
-    Recorder,
-    RingBuffer,
-    TraceEvent,
-)
+from repro.obs.metrics import RingBuffer
+from repro.obs.recorder import NULL_RECORDER, NullRecorder, Recorder, TraceEvent
 
 __all__ = [
     "NULL_RECORDER",
@@ -47,22 +41,4 @@ __all__ = [
     "sanitize",
     "trace_hash",
     "trace_to_csv",
-    # Lazy submodules (resolved on first attribute access, preserving
-    # the import-light contract above).
-    "analysis",
-    "bench_record",
-    "metrics",
-    "monitor",
-    "profile",
 ]
-
-_LAZY_SUBMODULES = ("analysis", "bench_record", "metrics", "monitor",
-                    "profile")
-
-
-def __getattr__(name: str):
-    if name in _LAZY_SUBMODULES:
-        import importlib
-
-        return importlib.import_module(f"repro.obs.{name}")
-    raise AttributeError(f"module 'repro.obs' has no attribute {name!r}")

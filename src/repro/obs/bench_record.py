@@ -5,6 +5,8 @@ Every benchmark module already prints a paper-vs-measured table through
 into pytest-benchmark's ``extra_info``.  This module serializes those
 rows, plus wall time, into one JSON file per bench module at the repo
 root, so the committed files record each bench's figures over time.
+The benchmarks' session hook is its only caller: no runner writes a
+BENCH file.
 
 Schema (``repro-bench-trajectory-v2``)::
 
@@ -12,8 +14,7 @@ Schema (``repro-bench-trajectory-v2``)::
       "schema": "repro-bench-trajectory-v2",
       "bench": "bench_engine_kernel",
       "wall_time_s": 12.8,
-      "rows": {"events/s": {"paper": null, "measured": 2.1e6,
-                            "seed": 7, "config": {"window": 120000}}, ...},
+      "rows": {"events/s": {"paper": null, "measured": 2.1e6}, ...},
       "tests": {
         "test_kernel_throughput": {
           "wall_time_s": 3.1,
@@ -24,12 +25,6 @@ Schema (``repro-bench-trajectory-v2``)::
 
 ``rows`` at the top level is the union across the module's tests (later
 tests win on key collisions, mirroring how the printed tables stack).
-
-v2 adds per-row attribution: when the producer passes ``seed`` /
-``config`` to :func:`record_benchmark`, every row is stamped with them,
-so a perf-history diff can tell a real regression from a changed
-workload.  Rows without attribution (pytest-benchmark modules) stay
-legal.
 """
 
 from __future__ import annotations
@@ -53,47 +48,22 @@ def bench_path(bench_name: str, root: Optional[str] = None) -> str:
     return os.path.join(root, f"BENCH_{bench_name}.json")
 
 
-def _stamp_rows(rows: Dict[str, Dict[str, Any]], seed: Optional[int],
-                config: Optional[Dict[str, Any]]) -> Dict[str, Dict[str, Any]]:
-    """Copy ``rows`` with seed/config attribution merged into each row
-    (row-local values win, so a caller can override per metric)."""
-    extra: Dict[str, Any] = {}
-    if seed is not None:
-        extra["seed"] = seed
-    if config is not None:
-        extra["config"] = config
-    if not extra:
-        return rows
-    return {metric: {**extra, **row} for metric, row in rows.items()}
-
-
 def record_benchmark(
     bench_name: str,
     rows: Dict[str, Dict[str, Any]],
     tests: Optional[Dict[str, Dict[str, Any]]] = None,
     wall_time_s: Optional[float] = None,
     root: Optional[str] = None,
-    seed: Optional[int] = None,
-    config: Optional[Dict[str, Any]] = None,
 ) -> str:
     """Write one bench module's trajectory file; returns its path.
 
     ``rows`` maps metric name -> ``{"paper": ..., "measured": ...}``;
     ``tests`` optionally maps test name -> ``{"wall_time_s", "rows"}``.
-    ``seed`` / ``config`` (v2) stamp every row -- including each test's
-    rows -- with the workload that produced it.
     """
     if wall_time_s is None and tests:
         wall_time_s = sum(
             t.get("wall_time_s") or 0.0 for t in tests.values()
         )
-    rows = _stamp_rows(rows, seed, config)
-    if tests:
-        tests = {
-            name: {**block,
-                   "rows": _stamp_rows(block.get("rows", {}), seed, config)}
-            for name, block in tests.items()
-        }
     doc = {
         "schema": SCHEMA,
         "bench": bench_name,

@@ -9,8 +9,8 @@ at a time.  ``repro lint`` enforces the contract statically (rules
 RPR301-RPR305, see ``docs/static-analysis.md``): an event literal at a
 ``record(...)`` call site that is not registered here fails the lint
 gate, as does a stage list hardcoded outside this module or a series
-name at a ``sample(...)`` or ``sample_series(...)`` site that resolves
-against no registered name or family.
+name at a ``sample(...)`` site that resolves against no registered name
+or family.
 
 Adding a new event is deliberate: register it here (in pipeline order
 for lifecycle events), emit it from the hook site, and document it in
@@ -105,9 +105,9 @@ MONITOR_RULES = frozenset((
 
 #: Fixed sampled series (:mod:`repro.obs.metrics`).  The ``net.*``
 #: gauges are the fault probe's once-per-period samples over the whole
-#: topology (``MetricsSampler.sample``); the ``*.utilization`` series are
-#: the recorder's busy fractions per sample period from the chip and host
-#: utilization probes (``Recorder.sample_series``).
+#: topology (``topo.metrics``); the ``*.utilization`` series are the
+#: recorder's busy fractions per sample period from the chip and host
+#: utilization probes (``recorder.metrics``).
 METRIC_SERIES = frozenset((
     "net.links_down",
     "net.incidents",
@@ -122,15 +122,16 @@ METRIC_SERIES = frozenset((
 ))
 
 #: Parameterized sampled-series families: one series per link / router /
-#: microengine, the subject name between the family prefix and the gauge
-#: suffix.  ``repro lint`` rule RPR305 resolves every literal (and every
-#: f-string template) passed to ``MetricsSampler.sample`` or
-#: ``Recorder.sample_series`` against these and :data:`METRIC_SERIES`.
+#: microengine / packet queue, the subject name between the family prefix
+#: and the gauge suffix.  ``repro lint`` rule RPR305 resolves every
+#: literal (and every f-string template) passed to ``MetricsSampler.sample``
+#: against these and :data:`METRIC_SERIES`.
 METRIC_PATTERNS = (
     r"link\.[^.]+\.(occupancy|carried|dropped|utilization|up)",
     r"router\.[^.]+\.(queue_depth|route_cache_hit_rate|spf_runs|lsas)",
     r"ctrl\.[^.]+\.(hellos|retransmits|rejected|deaths|unacked)",
     r"me[^.]+\.utilization",
+    r"queue[^.]+\.depth",
 )
 
 _METRIC_RE = re.compile(

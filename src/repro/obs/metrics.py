@@ -16,10 +16,12 @@ the fault injector:
   attribute check (``benchmarks/bench_metrics_overhead.py`` enforces
   both the timing bound and that an instrumented run's packet outcomes
   are bit-identical to an uninstrumented one).
-* :class:`MetricsSampler` -- the live implementation: bounded per-series
-  ring buffers keyed by canonical series names
+* :class:`MetricsSampler` -- the live implementation and the one series
+  store: bounded per-series ring buffers keyed by canonical series names
   (:data:`repro.obs.events.METRIC_PATTERNS`; ``repro lint`` rule RPR305
-  pins every sampled name to that registry).
+  pins every sampled name to that registry).  A topology keeps its
+  network series in one, and each router's recorder keeps its
+  utilization and queue-depth series in another (``Recorder.metrics``).
 
 The probes themselves are plain functions over duck-typed topology
 objects (links, router nodes, injectors) so this module stays free of
@@ -35,14 +37,52 @@ windows.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, List, Tuple
-
-from repro.obs.recorder import RingBuffer
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 #: Cycles between samples unless the caller chooses otherwise.
 DEFAULT_METRICS_PERIOD = 5_000
 #: Cycles between the recorder's utilization samples by default.
 DEFAULT_SAMPLE_PERIOD = 2_000
+#: Samples kept per series; older samples are evicted and counted.
+SERIES_CAPACITY = 8_192
+
+
+class RingBuffer:
+    """Fixed-capacity append-only ring; overwrites the oldest entries.
+
+    ``dropped`` counts overwritten entries so exports can state their
+    coverage honestly (no silent truncation).
+    """
+
+    __slots__ = ("capacity", "_items", "_start", "dropped")
+
+    def __init__(self, capacity: int):
+        if capacity < 1:
+            raise ValueError(f"ring capacity must be >= 1, got {capacity}")
+        self.capacity = capacity
+        self._items: List[Any] = []
+        self._start = 0
+        self.dropped = 0
+
+    def append(self, item: Any) -> None:
+        if len(self._items) < self.capacity:
+            self._items.append(item)
+        else:
+            self._items[self._start] = item
+            self._start = (self._start + 1) % self.capacity
+            self.dropped += 1
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __iter__(self):
+        items = self._items
+        start = self._start
+        for i in range(len(items)):
+            yield items[(start + i) % len(items)]
+
+    def to_list(self) -> List[Any]:
+        return list(self)
 
 
 def every(sim, period: int, start: Callable[[], Callable[[int], None]]) -> Generator:
@@ -120,21 +160,21 @@ NULL_SAMPLER = NullSampler()
 class MetricsSampler:
     """Bounded, deterministic named time series on the event clock.
 
-    ``sample`` appends ``(cycle, value)`` to a per-series ring buffer
-    (capacity bounds memory on long runs; evictions are counted, never
-    silent).  Queries summarize each series without any wall-clock or
-    hashing nondeterminism: names are reported sorted, values are pure
-    functions of the simulation.
+    ``sample`` appends ``(cycle, float(value))`` to a per-series ring
+    buffer of :data:`SERIES_CAPACITY` samples (evictions are counted,
+    never silent).  Queries summarize each series without any wall-clock
+    or hashing nondeterminism: names are reported sorted, values are pure
+    functions of the simulation.  ``period`` is the cadence of the
+    probes that fill the store; a recorder's store has none, since its
+    queue depths are also sampled at every enqueue and dequeue.
     """
 
     enabled = True
 
-    def __init__(self, period: int = DEFAULT_METRICS_PERIOD,
-                 capacity: int = 4_096):
-        if period < 1:
+    def __init__(self, period: Optional[int] = None):
+        if period is not None and period < 1:
             raise ValueError(f"metrics period must be >= 1, got {period}")
         self.period = period
-        self.capacity = capacity
         self._series: Dict[str, RingBuffer] = {}
         self.samples = 0
 
@@ -143,7 +183,7 @@ class MetricsSampler:
     def sample(self, name: str, cycle: int, value: float) -> None:
         series = self._series.get(name)
         if series is None:
-            series = self._series[name] = RingBuffer(self.capacity)
+            series = self._series[name] = RingBuffer(SERIES_CAPACITY)
         series.append((cycle, float(value)))
         self.samples += 1
 
@@ -309,6 +349,7 @@ def chip_utilization(chip, recorder, period: int) -> Callable[[int], None]:
     how their busy time reaches the recorder."""
     engines = [me for me in chip.engines if me.contexts]
     dram, sram, scratch = chip.dram, chip.sram, chip.scratch
+    metrics = recorder.metrics
     # Parked idle loops are charged lazily (repro.ixp.parking); each
     # reading settles them first, and runs before the loops' own events
     # of its cycle.
@@ -322,19 +363,19 @@ def chip_utilization(chip, recorder, period: int) -> Callable[[int], None]:
         moved = busy()
         for me in engines:
             util = moved[me.me_id] / period
-            recorder.sample_series(f"me{me.me_id}.utilization", now, util)
+            metrics.sample(f"me{me.me_id}.utilization", now, util)
             recorder.account(f"me{me.me_id}", "busy", util * period)
         util = moved["dram"] / period
-        recorder.sample_series("dram.utilization", now, util)
+        metrics.sample("dram.utilization", now, util)
         recorder.account("dram", "busy", util * period)
         util = moved["sram"] / period
-        recorder.sample_series("sram.utilization", now, util)
+        metrics.sample("sram.utilization", now, util)
         recorder.account("sram", "busy", util * period)
         util = moved["scratch"] / period
-        recorder.sample_series("scratch.utilization", now, util)
+        metrics.sample("scratch.utilization", now, util)
         recorder.account("scratch", "busy", util * period)
         for queue in chip.bank.queues:
-            recorder.sample_queue(now, queue.queue_id, len(queue))
+            metrics.sample(f"queue{queue.queue_id}.depth", now, len(queue))
 
     return step
 
@@ -349,15 +390,16 @@ def host_utilization(router, recorder, period: int) -> Callable[[int], None]:
         "pentium": 0.0 if pentium is None else pentium.busy_pentium_cycles,
     })
     scale = 0.0 if pentium is None else 1.0 / pentium.params.ratio
+    metrics = recorder.metrics
 
     def step(now: int) -> None:
         moved = busy()
-        recorder.sample_series("strongarm.utilization", now,
-                               moved["strongarm"] / period)
-        recorder.sample_series("pci.utilization", now, moved["pci"] / period)
+        metrics.sample("strongarm.utilization", now,
+                       moved["strongarm"] / period)
+        metrics.sample("pci.utilization", now, moved["pci"] / period)
         if pentium is not None:
-            recorder.sample_series("pentium.utilization", now,
-                                   moved["pentium"] * scale / period)
+            metrics.sample("pentium.utilization", now,
+                           moved["pentium"] * scale / period)
 
     return step
 

@@ -631,7 +631,6 @@ class MonitorResult(Verdict):
 def monitor_scenario(name: str, window: int = 120_000, warmup: int = 20_000,
                      period: int = DEFAULT_PERIOD, sample_period: int = 2_000,
                      trace_capacity: int = 65_536,
-                     scheduler: Optional[str] = None,
                      on_evaluate: Optional[Callable[[List[RuleResult]], None]] = None,
                      ) -> MonitorResult:
     """Run one profile scenario under the health watchdog.
@@ -642,7 +641,7 @@ def monitor_scenario(name: str, window: int = 120_000, warmup: int = 20_000,
     from repro.obs.profile import build_scenario
 
     run = build_scenario(name, sample_period=sample_period,
-                         trace_capacity=trace_capacity, scheduler=scheduler)
+                         trace_capacity=trace_capacity)
     sim = run.sim
     sim.run(until=sim.now + warmup)
     monitor = HealthMonitor(run.chip, run.recorder, router=run.router)

@@ -4,8 +4,9 @@ Runs one demo scenario with observability enabled and renders a
 per-stage cost table directly comparable to the paper's Table 2: for
 each pipeline stage, MPs processed, modelled register cycles, measured
 engine-busy cycles per MP, and measured memory references per MP split
-by memory and direction.  The raw trace (spans + accounting + queue
-depth series) exports as valid JSON via :mod:`repro.obs.export`.
+by memory and direction.  The raw trace (spans + accounting + the
+recorder's series store) exports as valid JSON via
+:mod:`repro.obs.export`.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ class ProfileResult:
     stages: List[Dict[str, Any]]
     throughput: Dict[str, float]
     utilization: Dict[str, Dict[str, float]]
-    queue_stats: Dict[int, Dict[str, float]]
+    queue_stats: Dict[str, Dict[str, float]]
     trace: Dict[str, Any]
     trace_hash: str
     notes: List[str] = field(default_factory=list)
@@ -97,13 +98,12 @@ class ProfileResult:
             f"{k}={v:.4g}" for k, v in sorted(self.throughput.items())
         ))
         if self.queue_stats:
-            busiest = max(self.queue_stats.items(), key=lambda kv: kv[1]["max_depth"])
+            name, stats = max(self.queue_stats.items(), key=lambda kv: kv[1]["max"])
             lines.append(
-                f"queues sampled: {len(self.queue_stats)}; deepest queue "
-                f"{busiest[0]} (max depth {busiest[1]['max_depth']:.0f}, "
-                f"mean {busiest[1]['mean_depth']:.2f})"
+                f"queues sampled: {len(self.queue_stats)}; deepest {name} "
+                f"(max {stats['max']:.0f}, mean {stats['mean']:.2f})"
             )
-        lines.append(f"trace: {self.trace.get('events_dropped', 0)} spans dropped "
+        lines.append(f"trace: {self.trace['dropped_events']} spans dropped "
                      f"(ring full), hash {self.trace_hash[:16]}...")
         for note in self.notes:
             lines.append(f"note: {note}")
@@ -262,7 +262,8 @@ def _collect(chip, recorder: Recorder, scenario: str, window: int, warmup: int,
         stages=stages,
         throughput=throughput,
         utilization=utilization,
-        queue_stats=recorder.queue_depth_stats(),
+        queue_stats={name: stats for name, stats in recorder.metrics.summary().items()
+                     if name.endswith(".depth")},
         trace=recorder.to_dict(),
         trace_hash=export.trace_hash(events),
         notes=notes,
@@ -295,40 +296,31 @@ class ScenarioRun:
         return self.chip.sim
 
 
-def _make_sim(scheduler: Optional[str]):
-    from repro.engine import Simulator
-
-    return Simulator(scheduler=scheduler)
-
-
-def _build_fastpath(sample_period: int, trace_capacity: int,
-                    scheduler: Optional[str] = None) -> ScenarioRun:
+def _build_fastpath(sample_period: int, trace_capacity: int) -> ScenarioRun:
     """The paper's base configuration (I.2 + O.1) under synthetic load."""
     from repro.ixp.chip import ChipConfig, IXP1200
 
-    chip = IXP1200(ChipConfig(), sim=_make_sim(scheduler))
+    chip = IXP1200(ChipConfig())
     recorder = chip.enable_observability(
         Recorder(capacity=trace_capacity), sample_period=sample_period
     )
     return ScenarioRun("fastpath", chip, recorder)
 
 
-def _build_vrp(sample_period: int, trace_capacity: int,
-               scheduler: Optional[str] = None) -> ScenarioRun:
+def _build_vrp(sample_period: int, trace_capacity: int) -> ScenarioRun:
     """Fast path plus an 8-block VRP (Figure 9's mixed flavour), showing
     the VRP stage's SRAM traffic as a separate accounting row."""
     from repro.ixp.chip import ChipConfig, IXP1200
     from repro.ixp.programs import TimedVRP
 
-    chip = IXP1200(ChipConfig(vrp=TimedVRP.blocks(8)), sim=_make_sim(scheduler))
+    chip = IXP1200(ChipConfig(vrp=TimedVRP.blocks(8)))
     recorder = chip.enable_observability(
         Recorder(capacity=trace_capacity), sample_period=sample_period
     )
     return ScenarioRun("vrp", chip, recorder)
 
 
-def _build_overload(sample_period: int, trace_capacity: int,
-                    scheduler: Optional[str] = None) -> ScenarioRun:
+def _build_overload(sample_period: int, trace_capacity: int) -> ScenarioRun:
     """A deliberately unhealthy router: a 40-block VRP (400 register
     cycles + 40 SRAM transfers, far over the section 4.3 budget of
     240/24) on shallow queues with the single-port synthetic pattern.
@@ -343,7 +335,6 @@ def _build_overload(sample_period: int, trace_capacity: int,
             queue_capacity=32,
             synthetic_pattern="single",
         ),
-        sim=_make_sim(scheduler),
     )
     recorder = chip.enable_observability(
         Recorder(capacity=trace_capacity), sample_period=sample_period
@@ -351,14 +342,13 @@ def _build_overload(sample_period: int, trace_capacity: int,
     return ScenarioRun("overload", chip, recorder)
 
 
-def _build_router(sample_period: int, trace_capacity: int,
-                  scheduler: Optional[str] = None) -> ScenarioRun:
+def _build_router(sample_period: int, trace_capacity: int) -> ScenarioRun:
     """The full hierarchy with real packets: MicroEngine fast path plus
     exceptional packets climbing to the StrongARM (route-cache misses)."""
     from repro.core.router import Router, RouterConfig
     from repro.net.traffic import flow_stream, round_robin_merge, take
 
-    router = Router(RouterConfig(num_ports=4), sim=_make_sim(scheduler))
+    router = Router(RouterConfig(num_ports=4))
     recorder = router.enable_observability(
         Recorder(capacity=trace_capacity), sample_period=sample_period
     )
@@ -398,25 +388,22 @@ SCENARIO_DESCRIPTIONS: Dict[str, str] = {
 
 
 def build_scenario(name: str, sample_period: int = 2_000,
-                   trace_capacity: int = 65_536,
-                   scheduler: Optional[str] = None) -> ScenarioRun:
+                   trace_capacity: int = 65_536) -> ScenarioRun:
     """Construct one named scenario with observability attached, without
-    running it.  ``scheduler`` selects the event-queue implementation
-    (None = default), which the determinism tests vary."""
+    running it."""
     try:
         builder = SCENARIOS[name]
     except KeyError:
         raise ValueError(
             f"unknown profile scenario {name!r} (choose from {', '.join(SCENARIOS)})"
         ) from None
-    return builder(sample_period, trace_capacity, scheduler)
+    return builder(sample_period, trace_capacity)
 
 
 def profile_scenario(name: str, window: int = 120_000, warmup: int = 20_000,
                      sample_period: int = 2_000,
-                     trace_capacity: int = 65_536,
-                     scheduler: Optional[str] = None) -> ProfileResult:
+                     trace_capacity: int = 65_536) -> ProfileResult:
     """Run one named scenario under full observability."""
-    run = build_scenario(name, sample_period, trace_capacity, scheduler)
+    run = build_scenario(name, sample_period, trace_capacity)
     return _collect(run.chip, run.recorder, name, window, warmup,
                     extra_throughput=run.extra_throughput)

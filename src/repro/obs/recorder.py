@@ -8,8 +8,10 @@ Two implementations share one duck-typed API:
   attribute load per *packet-level* operation (never per simulator
   event) and allocates nothing.
 * :class:`Recorder` -- the live implementation: a bounded ring buffer
-  of :class:`TraceEvent` spans, per-component cycle accounting, and
-  per-queue depth time series sampled on enqueue/dequeue.
+  of :class:`TraceEvent` spans, per-component cycle accounting, and a
+  series store (:class:`repro.obs.metrics.MetricsSampler`) holding the
+  utilization series and the ``queue<id>.depth`` series sampled on
+  enqueue/dequeue.
 
 Determinism contract: given a deterministic simulation, the recorded
 event stream is bit-identical across runs and across schedulers --
@@ -20,6 +22,8 @@ event stream is bit-identical across runs and across schedulers --
 from __future__ import annotations
 
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+
+from repro.obs.metrics import NULL_SAMPLER, MetricsSampler, RingBuffer
 
 
 def window_fractions(accounting: Dict[str, Dict[str, float]],
@@ -48,44 +52,6 @@ class TraceEvent(NamedTuple):
     detail: Any         # small scalar payload (queue id, wait cycles, ...)
 
 
-class RingBuffer:
-    """Fixed-capacity append-only ring; overwrites the oldest entries.
-
-    ``dropped`` counts overwritten entries so exports can state their
-    coverage honestly (no silent truncation).
-    """
-
-    __slots__ = ("capacity", "_items", "_start", "dropped")
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError(f"ring capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._items: List[Any] = []
-        self._start = 0
-        self.dropped = 0
-
-    def append(self, item: Any) -> None:
-        if len(self._items) < self.capacity:
-            self._items.append(item)
-        else:
-            self._items[self._start] = item
-            self._start = (self._start + 1) % self.capacity
-            self.dropped += 1
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __iter__(self):
-        items = self._items
-        start = self._start
-        for i in range(len(items)):
-            yield items[(start + i) % len(items)]
-
-    def to_list(self) -> List[Any]:
-        return list(self)
-
-
 class NullRecorder:
     """The disabled path: every method is a no-op.
 
@@ -97,18 +63,13 @@ class NullRecorder:
     __slots__ = ()
     enabled = False
     dropped_events = 0
+    metrics = NULL_SAMPLER
 
     def record(self, cycle: int, component: str, event: str,
                packet_id: Optional[int] = None, detail: Any = None) -> None:
         pass
 
     def account(self, component: str, state: str, cycles: float) -> None:
-        pass
-
-    def sample_queue(self, cycle: int, queue_id: int, depth: int) -> None:
-        pass
-
-    def sample_series(self, name: str, cycle: int, value: float) -> None:
         pass
 
     def packet_id(self, packet: Any) -> Optional[int]:
@@ -128,17 +89,12 @@ class NullRecorder:
     def utilization(self, window_cycles: int) -> Dict[str, Dict[str, float]]:
         return {}
 
-    def queue_depth_stats(self) -> Dict[int, Dict[str, float]]:
-        return {}
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "events": [],
-            "events_dropped": 0,
             "dropped_events": 0,
             "accounting": {},
-            "queue_series": {},
-            "timeseries": {},
+            "metrics": self.metrics.to_dict(),
         }
 
 
@@ -151,20 +107,17 @@ class Recorder:
 
     * ``record`` -- packet lifecycle spans into a bounded ring buffer;
     * ``account`` -- busy/idle/stall cycle attribution per component;
-    * ``sample_queue`` -- queue-depth time series on enqueue/dequeue;
-    * ``sample_series`` -- generic named time series (utilization
-      samples from the periodic sampler process).
+    * ``metrics.sample`` -- named time series: the periodic utilization
+      samples and the ``queue<id>.depth`` samples taken on
+      enqueue/dequeue.
     """
 
     enabled = True
-    #: Samples kept per queue-depth and per named time series.
-    SERIES_CAPACITY = 8_192
 
     def __init__(self, capacity: int = 65_536):
         self.events = RingBuffer(capacity)
         self.accounting: Dict[str, Dict[str, float]] = {}
-        self.queue_series: Dict[int, RingBuffer] = {}
-        self.timeseries: Dict[str, RingBuffer] = {}
+        self.metrics = MetricsSampler()
         self._next_packet_id = 0
 
     # -- hooks ------------------------------------------------------------
@@ -178,18 +131,6 @@ class Recorder:
         if states is None:
             states = self.accounting[component] = {}
         states[state] = states.get(state, 0.0) + cycles
-
-    def sample_queue(self, cycle: int, queue_id: int, depth: int) -> None:
-        series = self.queue_series.get(queue_id)
-        if series is None:
-            series = self.queue_series[queue_id] = RingBuffer(self.SERIES_CAPACITY)
-        series.append((cycle, depth))
-
-    def sample_series(self, name: str, cycle: int, value: float) -> None:
-        series = self.timeseries.get(name)
-        if series is None:
-            series = self.timeseries[name] = RingBuffer(self.SERIES_CAPACITY)
-        series.append((cycle, value))
 
     def packet_id(self, packet: Any) -> Optional[int]:
         """A stable per-recorder id for ``packet`` (assigned on first
@@ -231,21 +172,6 @@ class Recorder:
         :func:`window_fractions`)."""
         return window_fractions(self.accounting, window_cycles)
 
-    def queue_depth_stats(self) -> Dict[int, Dict[str, float]]:
-        """Per-queue occupancy summary from the sampled series."""
-        out: Dict[int, Dict[str, float]] = {}
-        for queue_id, series in self.queue_series.items():
-            depths = [depth for __, depth in series]
-            if not depths:
-                continue
-            out[queue_id] = {
-                "samples": float(len(depths)),
-                "mean_depth": sum(depths) / len(depths),
-                "max_depth": float(max(depths)),
-                "last_depth": float(depths[-1]),
-            }
-        return out
-
     # -- export ------------------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
@@ -253,13 +179,7 @@ class Recorder:
         :func:`repro.obs.export.dumps` to guarantee valid JSON)."""
         return {
             "events": [list(e) for e in self.events],
-            "events_dropped": self.dropped_events,
             "dropped_events": self.dropped_events,
             "accounting": self.accounting,
-            "queue_series": {
-                str(qid): series.to_list() for qid, series in self.queue_series.items()
-            },
-            "timeseries": {
-                name: series.to_list() for name, series in self.timeseries.items()
-            },
+            "metrics": self.metrics.to_dict(),
         }

@@ -187,26 +187,3 @@ def run_netview(name: str, seed: int = 0, window: int = DEFAULT_WINDOW,
     results = run_topo(name, seed=seed, window=window, warmup=warmup,
                        instrument=hook)
     return [NetviewResult(r, top=top) for r in results]
-
-
-def bench_rows(views: List[NetviewResult]) -> Dict[str, Dict[str, Any]]:
-    """BENCH_netview.json rows: per-scenario gate plus the headline
-    observability numbers."""
-    rows: Dict[str, Dict[str, Any]] = {}
-    for view in views:
-        key = view.scenario.replace("-", "_")
-        rep = view.hop_report
-        rows[f"{key}_ok"] = {"paper": 1, "measured": int(view.ok)}
-        rows[f"{key}_hop_sums_exact"] = {
-            "paper": 1, "measured": int(rep["exact"])}
-        rows[f"{key}_traced"] = {"paper": None, "measured": rep["traces"]}
-        rows[f"{key}_delivered_traced"] = {
-            "paper": None, "measured": rep["delivered"]}
-        rows[f"{key}_metric_samples"] = {
-            "paper": None,
-            "measured": view.topo.metrics.to_dict()["samples"]}
-        top_links = view.metrics_report["top_congested_links"]
-        if top_links:
-            rows[f"{key}_peak_link_occupancy"] = {
-                "paper": None, "measured": top_links[0]["peak_occupancy"]}
-    return rows

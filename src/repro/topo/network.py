@@ -858,8 +858,7 @@ class Topology:
             self.tracer = NetTracer(self)
         return self.tracer
 
-    def enable_metrics(self, period: int = DEFAULT_METRICS_PERIOD,
-                       capacity: int = 4_096) -> MetricsSampler:
+    def enable_metrics(self, period: int = DEFAULT_METRICS_PERIOD) -> MetricsSampler:
         """Attach the deterministic time-series sampler (see
         :mod:`repro.obs.metrics`) over every link and router currently
         in the topology, plus the network-wide fault gauge, sampling
@@ -868,7 +867,7 @@ class Topology:
         Idempotent."""
         if self.metrics.enabled:
             return self.metrics
-        sampler = MetricsSampler(period=period, capacity=capacity)
+        sampler = MetricsSampler(period=period)
         probes = [link_probe(link)
                   for link in sorted(self.links, key=lambda l: l.name)]
         probes.extend(router_probe(self.nodes[name])

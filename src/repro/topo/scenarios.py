@@ -452,24 +452,3 @@ def run_topo(name: str, seed: int = 0, window: int = DEFAULT_WINDOW,
             f"unknown topo scenario {name!r}; pick from "
             f"{', '.join(SCENARIOS)} or 'all'")
     return [SCENARIOS[n](seed, window, warmup, instrument) for n in names]
-
-
-def bench_rows(results: List[TopoResult]) -> Dict[str, Dict[str, Any]]:
-    """BENCH_topo_scenarios.json rows: per-scenario pass/fail plus the
-    headline golden numbers."""
-    rows: Dict[str, Dict[str, Any]] = {}
-    for result in results:
-        key = result.scenario.replace("-", "_")
-        rows[f"{key}_ok"] = {"paper": 1, "measured": int(result.ok)}
-        rows[f"{key}_delivered"] = {
-            "paper": None, "measured": result.accounting.get("delivered", 0)}
-        if result.reconvergences:
-            rows[f"{key}_worst_reconverge_cycles"] = {
-                "paper": None,
-                "measured": max(r["cycles"] for r in result.reconvergences)}
-        measured = [d["latency"] for d in result.detections
-                    if d.get("latency") is not None]
-        if measured:
-            rows[f"{key}_worst_detection_cycles"] = {
-                "paper": None, "measured": max(measured)}
-    return rows

@@ -66,37 +66,6 @@ def test_root_env_var_overrides_destination(tmp_path, monkeypatch):
     assert (tmp_path / "BENCH_bench_x.json").exists()
 
 
-def test_seed_and_config_stamp_every_row(tmp_path):
-    rows = {"delivered": {"paper": None, "measured": 56}}
-    tests = {"test_t": {"wall_time_s": 0.5,
-                        "rows": {"traced": {"paper": None, "measured": 56}}}}
-    record_benchmark("bench_stamped", rows, tests=tests, root=str(tmp_path),
-                     seed=7, config={"scenario": "link-failure",
-                                     "window": 120_000})
-    doc = _load("bench_stamped", tmp_path)
-    assert doc["schema"] == "repro-bench-trajectory-v2"
-    row = doc["rows"]["delivered"]
-    assert row["seed"] == 7
-    assert row["config"] == {"scenario": "link-failure", "window": 120_000}
-    test_row = doc["tests"]["test_t"]["rows"]["traced"]
-    assert test_row["seed"] == 7 and "config" in test_row
-
-
-def test_row_local_attribution_wins_over_stamp(tmp_path):
-    rows = {"m": {"paper": None, "measured": 1.0, "seed": 99}}
-    record_benchmark("bench_local", rows, root=str(tmp_path), seed=7)
-    doc = _load("bench_local", tmp_path)
-    assert doc["rows"]["m"]["seed"] == 99
-
-
-def test_unstamped_rows_stay_unchanged(tmp_path):
-    """pytest-benchmark modules pass no seed/config; rows stay bare."""
-    rows = {"m": {"paper": None, "measured": 1.0}}
-    record_benchmark("bench_bare", rows, root=str(tmp_path))
-    doc = _load("bench_bare", tmp_path)
-    assert doc["rows"]["m"] == {"paper": None, "measured": 1.0}
-
-
 # ---------------------------------------------------------------------------
 # The benchmarks/conftest.py session hook
 # ---------------------------------------------------------------------------

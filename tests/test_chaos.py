@@ -10,8 +10,7 @@ import pytest
 from repro.chaos import (FAULT_KINDS, FaultSpec, generate_schedule,
                          run_campaign, run_trial, schedule_from_json,
                          schedule_to_json, shrink_schedule)
-from repro.chaos.campaign import (RING_LINKS, RING_ROUTERS, bench_rows,
-                                  replay_schedule)
+from repro.chaos.campaign import RING_LINKS, RING_ROUTERS, replay_schedule
 from repro.chaos.shrink import ddmin
 from repro.cli import main
 
@@ -142,15 +141,6 @@ def test_empty_schedule_is_a_healthy_baseline():
     assert result.detections == 0
 
 
-def test_bench_rows_shape():
-    campaign = run_campaign(7, 0)
-    rows = bench_rows(campaign)
-    assert rows["chaos_trials_passed"] == {"paper": 0, "measured": 0}
-    assert set(rows) == {"chaos_trials_passed", "chaos_violating_trials",
-                         "chaos_faults_injected", "chaos_detections",
-                         "chaos_reconvergences"}
-
-
 # ---------------------------------------------------------------------------
 # Shrinking.
 # ---------------------------------------------------------------------------
@@ -237,7 +227,7 @@ def test_shrinker_reduces_planted_regression_to_minimal_replay():
 @pytest.mark.slow
 def test_cli_chaos_smoke(tmp_path, capsys):
     artifact = tmp_path / "campaign.json"
-    rc = main(["chaos", "--seed", "7", "--trials", "1", "--no-bench",
+    rc = main(["chaos", "--seed", "7", "--trials", "1",
                "--artifact-out", str(artifact)])
     assert rc == 0
     out = capsys.readouterr().out
@@ -250,17 +240,16 @@ def test_cli_chaos_smoke(tmp_path, capsys):
 def test_cli_chaos_shrink_and_replay(tmp_path, capsys):
     minimal = tmp_path / "minimal.json"
     rc = main(["chaos", "--seed", "7", "--trials", "2", "--max-attempts", "1",
-               "--shrink", "--minimal-out", str(minimal), "--no-bench"])
+               "--shrink", "--minimal-out", str(minimal)])
     assert rc == 1
     assert "minimal schedule for trial" in capsys.readouterr().out
     schedule = schedule_from_json(minimal.read_text())
     assert 1 <= len(schedule) <= 5
 
     rc = main(["chaos", "--seed", "7", "--replay", str(minimal),
-               "--max-attempts", "1", "--no-bench"])
+               "--max-attempts", "1"])
     assert rc == 1
     assert "VIOLATIONS" in capsys.readouterr().out
-    rc = main(["chaos", "--seed", "7", "--replay", str(minimal),
-               "--no-bench"])
+    rc = main(["chaos", "--seed", "7", "--replay", str(minimal)])
     assert rc == 0
     assert "recovered" in capsys.readouterr().out

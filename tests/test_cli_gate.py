@@ -5,9 +5,10 @@ through ``repro.cli.main``: ``monitor``, ``faults``, ``topo``,
 For each one, on short windows: the exit code of a passing and of a
 failing run; ``--json`` stdout is exactly one sorted-key document equal
 to the runner's artifact; every file flag writes the runner's own
-serialization plus a newline; and ``BENCH_<name>.json`` appears under
-``REPRO_BENCH_ROOT`` unless ``--no-bench`` is given.  Each case runs
-the CLI once and the runner it wraps once more, then compares bytes.
+serialization plus a newline; and nothing lands under
+``REPRO_BENCH_ROOT``: only ``benchmarks/`` writes ``BENCH_*.json``.
+Each case runs the CLI once and the runner it wraps once more, then
+compares bytes.
 """
 
 import json
@@ -50,7 +51,7 @@ def test_topo_passing_run(tmp_path, bench_root, capsys):
     assert rc == 0 == result.exit_code()
     assert out == canonical([result.artifact()]) + "\n"
     assert log.read_text() == result.incident_log_json() + "\n"
-    assert (bench_root / "BENCH_topo_scenarios.json").exists()
+    assert not any(bench_root.iterdir())
 
 
 def test_topo_failing_run(tmp_path, bench_root, capsys):
@@ -58,14 +59,14 @@ def test_topo_failing_run(tmp_path, bench_root, capsys):
 
     log = tmp_path / "incidents.json"
     rc, out = cli(capsys, "topo", "all", "--seed", 3, "--window", 60_000,
-                  "--incidents-out", log, "--no-bench")
+                  "--incidents-out", log)
     results = run_topo("all", seed=3, window=60_000)
     assert rc == 1
     assert [r.scenario for r in results if not r.ok] == [
         "route-churn", "congestion-collapse"]
     assert "INVARIANT VIOLATIONS in: route-churn" in out
     assert log.read_text() == canonical([r.artifact() for r in results]) + "\n"
-    assert not (bench_root / "BENCH_topo_scenarios.json").exists()
+    assert not any(bench_root.iterdir())
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +115,7 @@ def test_netview_passing_run(tmp_path, bench_root, capsys):
     assert rc == 0 == view.exit_code()
     assert out == canonical([view.artifact()]) + "\n"
     assert trace.read_text() == export.dumps(view.chrome(), sort_keys=True) + "\n"
-    assert (bench_root / "BENCH_netview.json").exists()
+    assert not any(bench_root.iterdir())
 
 
 def test_netview_failing_run(tmp_path, bench_root, capsys, monkeypatch):
@@ -122,12 +123,12 @@ def test_netview_failing_run(tmp_path, bench_root, capsys, monkeypatch):
 
     monkeypatch.chdir(tmp_path)
     rc, out = cli(capsys, "netview", "congestion-collapse", "--seed", 7,
-                  "--window", 60_000, "--chrome", "--no-bench")
+                  "--window", 60_000, "--chrome")
     [view] = run_netview("congestion-collapse", seed=7, window=60_000)
     assert rc == 1 == view.exit_code()
     written = tmp_path / "netview-congestion-collapse.chrome.json"
     assert written.read_text() == export.dumps(view.chrome(), sort_keys=True) + "\n"
-    assert not (bench_root / "BENCH_netview.json").exists()
+    assert not any(bench_root.iterdir())
 
 
 def test_netview_all_rejects_chrome_out(tmp_path, bench_root, capsys):
@@ -140,7 +141,7 @@ def test_netview_all_rejects_chrome_out(tmp_path, bench_root, capsys):
     assert exc.value.code == 2
     assert "--chrome-out" in capsys.readouterr().err
     assert not trace.exists()
-    assert not (bench_root / "BENCH_netview.json").exists()
+    assert not any(bench_root.iterdir())
 
 
 @pytest.mark.parametrize("argv", [
@@ -181,7 +182,7 @@ def test_chaos_passing_run(tmp_path, bench_root, capsys):
     assert rc == 0
     assert out == campaign.to_json() + "\n"
     assert artifact.read_text() == campaign.to_json() + "\n"
-    assert (bench_root / "BENCH_chaos.json").exists()
+    assert not any(bench_root.iterdir())
 
 
 def test_chaos_failing_run_shrinks(tmp_path, bench_root, capsys):
@@ -190,12 +191,12 @@ def test_chaos_failing_run_shrinks(tmp_path, bench_root, capsys):
     minimal = tmp_path / "minimal.json"
     rc, out = cli(capsys, "chaos", "--seed", 7, "--trials", 1, "--window",
                   60_000, "--max-attempts", 1, "--shrink", "--minimal-out",
-                  minimal, "--no-bench")
+                  minimal)
     campaign = run_campaign(7, 1, window=60_000, shrink=True,
                             ctrl_max_attempts=1)
     assert rc == 1
     assert minimal.read_text() == schedule_to_json(campaign.minimal[0]) + "\n"
-    assert not (bench_root / "BENCH_chaos.json").exists()
+    assert not any(bench_root.iterdir())
 
 
 def test_chaos_replay_writes_artifact_out(tmp_path, bench_root, capsys):
@@ -210,7 +211,7 @@ def test_chaos_replay_writes_artifact_out(tmp_path, bench_root, capsys):
     replay.write_text(schedule_to_json(schedule) + "\n")
     flags = ["chaos", "--seed", 7, "--window", 60_000, "--max-attempts", 1,
              "--replay", replay]
-    rc, printed = cli(capsys, *flags, "--json", "--no-bench")
+    rc, printed = cli(capsys, *flags, "--json")
     result = replay_schedule(schedule, seed=7, window=60_000,
                              ctrl_max_attempts=1)
     assert rc == 1 and not result.ok

@@ -399,9 +399,10 @@ def test_rpr305_clean_registered_names():
                 sampler.sample(f"link.{link.name}.occupancy", cycle, 0.5)
                 sampler.sample(f"router.{node.name}.queue_depth", cycle, 0.25)
             if recorder.enabled:
-                recorder.sample_series(f"me{me.me_id}.utilization", cycle, 0.5)
-                recorder.sample_series("dram.utilization", cycle, 0.5)
-                recorder.sample_series("pentium.utilization", cycle, 0.5)
+                recorder.metrics.sample(f"me{me.me_id}.utilization", cycle, 0.5)
+                recorder.metrics.sample("dram.utilization", cycle, 0.5)
+                recorder.metrics.sample("pentium.utilization", cycle, 0.5)
+                recorder.metrics.sample(f"queue{me.me_id}.depth", cycle, 3)
         """)
 
 
@@ -415,20 +416,34 @@ def test_rpr305_fires_via_metrics_attr_receiver():
 
 
 def test_rpr305_checks_recorder_sample_series_sites():
+    """The recorder's series go through its store's ``sample`` hook."""
     v = one("""\
         def step(recorder, now):
             if recorder.enabled:
-                recorder.sample_series("drum.utilization", now, 0.5)
+                recorder.metrics.sample("drum.utilization", now, 0.5)
         """)
     assert (v.code, v.line) == ("RPR305", 3)
     assert "drum.utilization" in v.message
+
+
+def test_rpr305_flags_an_unregistered_queue_depth_series():
+    """Queue depths go through the one ``sample`` hook as the registered
+    ``queue<id>.depth`` family, so a misspelt gauge is caught like any
+    other series."""
+    v = one("""\
+        def dequeue(rec, queue, now):
+            if rec.enabled:
+                rec.metrics.sample(f"queue{queue.queue_id}.dpth", now, 3)
+        """)
+    assert (v.code, v.line) == ("RPR305", 3)
+    assert "queuex.dpth" in v.message
 
 
 def test_rpr305_sample_series_split_prefix_template_fails():
     v = one("""\
         def step(rec, name, now):
             if rec.enabled:
-                rec.sample_series(f"{name}.utilization", now, 0.5)
+                rec.metrics.sample(f"{name}.utilization", now, 0.5)
         """)
     assert (v.code, v.line) == ("RPR305", 3)
     assert "x.utilization" in v.message

@@ -67,8 +67,8 @@ def test_null_recorder_is_disabled_and_inert():
     # All hooks are no-ops and allocate no per-call state.
     NULL_RECORDER.record(0, "x", "y")
     NULL_RECORDER.account("x", "busy", 10)
-    NULL_RECORDER.sample_queue(0, 1, 2)
-    NULL_RECORDER.sample_series("s", 0, 1.0)
+    NULL_RECORDER.metrics.sample("queue1.depth", 0, 2)
+    assert NULL_RECORDER.metrics.series("queue1.depth") == []
     assert NULL_RECORDER.packet_id(object()) is None
     assert not hasattr(NULL_RECORDER, "__dict__")  # __slots__ = ()
 
@@ -104,13 +104,13 @@ def test_recorder_records_events_and_accounting():
     rec.record(20, "chip", "mac_out", packet_id=0)
     rec.account("me0.ctx0", "busy", 100)
     rec.account("me0.ctx0", "busy", 50)
-    rec.sample_queue(15, 2, 4)
+    rec.metrics.sample("queue2.depth", 15, 4)
     assert rec.events.to_list() == [
         TraceEvent(10, "me0.ctx0", "mac_in", 0, 3),
         TraceEvent(20, "chip", "mac_out", 0, None),
     ]
     assert rec.accounting["me0.ctx0"]["busy"] == 150
-    assert rec.queue_series[2].to_list() == [(15, 4)]
+    assert rec.metrics.series("queue2.depth") == [(15, 4.0)]
     assert rec.packet_timeline(0) == rec.events.to_list()
     assert rec.stage_summary() == {("me0.ctx0", "mac_in"): 1, ("chip", "mac_out"): 1}
 
@@ -146,7 +146,6 @@ def test_recorder_exposes_dropped_events():
     assert rec.dropped_events == 3
     doc = rec.to_dict()
     assert doc["dropped_events"] == 3
-    assert doc["events_dropped"] == 3  # legacy key kept
     assert NULL_RECORDER.dropped_events == 0
 
 
@@ -161,14 +160,13 @@ def test_profile_notes_flag_truncated_trace():
 
 
 def test_recorder_queue_depth_stats():
+    """Queue depths are one series family in the recorder's store, so the
+    store's one summary covers them."""
     rec = Recorder()
     for cycle, depth in [(0, 1), (10, 3), (20, 2)]:
-        rec.sample_queue(cycle, 7, depth)
-    stats = rec.queue_depth_stats()[7]
-    assert stats["samples"] == 3
-    assert stats["mean_depth"] == pytest.approx(2.0)
-    assert stats["max_depth"] == 3
-    assert stats["last_depth"] == 2
+        rec.metrics.sample("queue7.depth", cycle, depth)
+    assert rec.metrics.summary()["queue7.depth"] == {
+        "samples": 3.0, "mean": 2.0, "max": 3.0, "last": 2.0}
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +274,7 @@ def test_profile_fastpath_measures_table2_pattern():
     assert refs["dram.write"] == pytest.approx(2.0, rel=0.05)
     assert refs["sram.read"] == pytest.approx(2.0, rel=0.05)
     assert refs["sram.write"] == pytest.approx(1.0, rel=0.05)
-    assert result.trace["events_dropped"] == 0
+    assert result.trace["dropped_events"] == 0
     table = result.table()
     assert "input" in table and "171" in table
 
@@ -311,7 +309,7 @@ def test_profile_utilization_covers_the_window_only(name, window, warmup):
     from repro.obs.profile import build_scenario, profile_scenario
 
     result = profile_scenario(name, window=window, warmup=warmup)
-    for series in result.trace["timeseries"].values():
+    for series in result.trace["metrics"]["series"].values():
         assert all(value >= 0 for __, value in series)
     assert "me0.ctx0" in result.utilization
     for fractions in result.utilization.values():

@@ -22,6 +22,7 @@ from repro.obs import events
 from repro.obs.metrics import (
     DEFAULT_METRICS_PERIOD,
     NULL_SAMPLER,
+    SERIES_CAPACITY,
     MetricsSampler,
     NullSampler,
     sampler_report,
@@ -83,11 +84,11 @@ def test_period_must_be_positive():
 
 
 def test_ring_caps_and_counts_evictions():
-    sampler = MetricsSampler(period=1, capacity=4)
-    for cycle in range(10):
+    sampler = MetricsSampler(period=1)
+    for cycle in range(SERIES_CAPACITY + 6):
         sampler.sample("net.incidents", cycle, float(cycle))
     kept = sampler.series("net.incidents")
-    assert len(kept) == 4
+    assert len(kept) == SERIES_CAPACITY
     assert kept[0] == (6, 6.0)  # oldest survivors, in order
     assert sampler.dropped_samples == 6
     assert sampler.to_dict()["dropped_samples"] == 6
@@ -136,17 +137,18 @@ def test_every_probe_series_is_registered(metered):
 
 
 def test_every_recorder_series_is_registered(metered):
-    """The recorder's utilization series resolve against the same
-    registry: the runtime mirror of RPR305 on ``sample_series`` sites."""
+    """The recorder's utilization and queue-depth series resolve against
+    the same registry: the runtime mirror of RPR305 on its store's
+    ``sample`` sites."""
     from repro.obs.profile import profile_scenario
 
     names = set(profile_scenario("router", window=20_000,
-                                 warmup=5_000).trace["timeseries"])
+                                 warmup=5_000).trace["metrics"]["series"])
     for node in metered.topo.nodes.values():
-        names.update(node.recorder.timeseries)
+        names.update(node.recorder.metrics.series_names())
     assert {"me0.utilization", "dram.utilization", "scratch.utilization",
             "strongarm.utilization", "pci.utilization",
-            "pentium.utilization"} <= names
+            "pentium.utilization", "queue0.depth"} <= names
     assert events.unregistered_metric_series(sorted(names)) == []
 
 

@@ -212,14 +212,15 @@ def test_monitor_scenario_overload_goes_red():
                for i in result.incidents)
 
 
-def test_incident_log_identical_across_schedulers():
+def test_incident_log_identical_across_schedulers(monkeypatch):
     """Evaluations run at fixed cycles, so the structured incident log --
     cycles, rules, transitions, values -- is deterministic across both
     event-queue implementations."""
 
     def run(scheduler):
-        result = monitor_scenario("overload", window=40_000, warmup=10_000,
-                                  scheduler=scheduler)
+        monkeypatch.setenv("REPRO_SIM_SCHEDULER", scheduler)
+        result = monitor_scenario("overload", window=40_000, warmup=10_000)
+        assert result.monitor.chip.sim.scheduler == scheduler
         return (result.incidents,
                 [r.to_dict() for r in result.results],
                 result.monitor.evaluations)

@@ -33,15 +33,13 @@ def test_topology_recorder_series_and_monitors_are_pinned():
         node = topo.nodes[name]
         rec = node.recorder
         routers[name] = {
-            "timeseries": {k: v.to_list() for k, v in rec.timeseries.items()},
-            "queue_series": {str(k): v.to_list()
-                             for k, v in rec.queue_series.items()},
+            "metrics": rec.metrics.to_dict(),
             "accounting": rec.accounting,
             "monitor": node.monitor.to_dict(),
             "last_sample": repr(node.monitor.last_sample),
         }
     assert _digest(routers) == (
-        "eb4bb41a5c955e2aafa8420938fe83d90b3651096927c1feabb043b469c4867c")
+        "5fe619287f933f2b95bfc21137f82b8c417cfc2f953239bf005b45028bb42b62")
 
 
 def test_netview_metric_series_are_pinned():
